@@ -242,6 +242,24 @@ func main() {
 				}
 			})
 		}
+		// The k-way count behind every itemset estimate of size k >= 3,
+		// at the 512-word columns of one 32,768-row service shard sample.
+		r := rng.New(512)
+		cols := make([][]uint64, 4)
+		for j := range cols {
+			cols[j] = make([]uint64, 512)
+			for i := range cols[j] {
+				cols[j][i] = r.Uint64()
+			}
+		}
+		for _, k := range []int{3, 4} {
+			record(fmt.Sprintf("kernel_andcountall_k%d_w512", k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkKernel = bitvec.AndCountAll(cols[:k])
+				}
+			})
+		}
 		_ = sinkKernel
 	}
 
@@ -819,7 +837,7 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		CPUFeatures: bitvec.KernelFeatures(),
-		Notes:       "kernel_* rows measure the dispatched bitvec word kernels (AND/ANDN popcount and store+count) at 157- and 1563-word operands — the 10k- and 100k-row column sizes; cpu_features records whether they ran the AVX2 assembly (avx2=true) or the portable Go loops, so cross-machine comparisons are honest. parallel/sharded variants (scan_parallel, subsample_build_parallel, median_amplifier_build) only beat their serial twins with >1 CPU; on a single-CPU runner read them as no-regression checks. mine_eclat_dense is the forced-tidset baseline on the dense database; mine_eclat_diffset is the same mine with forced diffsets. countsketch_ingest/estimate are per-item costs over a 2^16-universe hierarchical count sketch (5x1024, base 16); heavyhitters_find is one full recursive descent at phi=0.01 on a Zipf(1.2) stream. service_* rows measure the sharded sketch service (8 shards, d=64) through its Go API; service_estimate_p99 is a latency quantile (99th percentile single-query latency), not a throughput mean; the ingest/estimate/p99 service rows are reported, not gated. service_hh_mg_hot and service_mine_hot are the memoized read paths with ingest quiesced (cache-hit cost after one warming merge; mine still runs its Apriori pass per request over the cached union sample) and ARE gated; service_estimate_coalesced is the cost of 8 concurrent single-itemset estimates batched by the request coalescer (100us linger, max batch 8), also gated. wal_append/wal_replay are the write-ahead row log (default 256-row records; replay covers a fixed 8192-row log per op); ingest_concurrent_1w/4w are per-row costs through the concurrent pool; pool_speedup_4w is their rows/s ratio, recorded ungated because it only becomes meaningful (target >= 2x) at GOMAXPROCS >= 4 — on the 1-CPU reference container the writers serialize; windowed_ingest is the sliding-window sampler (65536-row window, 8 buckets).",
+		Notes:       "kernel_* rows measure the dispatched bitvec word kernels (AND/ANDN popcount and store+count) at 157- and 1563-word operands — the 10k- and 100k-row column sizes — and the k-way AND popcount (AndCountAll, k = 3 and 4) at 512 words, one 32,768-row service shard sample; cpu_features records whether they ran the AVX2 assembly (avx2=true) or the portable Go loops, so cross-machine comparisons are honest. parallel/sharded variants (scan_parallel, subsample_build_parallel, median_amplifier_build) only beat their serial twins with >1 CPU; on a single-CPU runner read them as no-regression checks. mine_eclat_dense is the forced-tidset baseline on the dense database; mine_eclat_diffset is the same mine with forced diffsets. countsketch_ingest/estimate are per-item costs over a 2^16-universe hierarchical count sketch (5x1024, base 16); heavyhitters_find is one full recursive descent at phi=0.01 on a Zipf(1.2) stream. service_* rows measure the sharded sketch service (8 shards, d=64) through its Go API; service_estimate_p99 is a latency quantile (99th percentile single-query latency), not a throughput mean; the ingest/estimate/p99 service rows are reported, not gated. service_hh_mg_hot and service_mine_hot are the memoized read paths with ingest quiesced (cache-hit cost after one warming merge; mine still runs its Apriori pass per request over the cached union sample) and ARE gated; service_estimate_coalesced is the cost of 8 concurrent single-itemset estimates batched by the request coalescer (100us linger, max batch 8), also gated. wal_append/wal_replay are the write-ahead row log (default 256-row records; replay covers a fixed 8192-row log per op); ingest_concurrent_1w/4w are per-row costs through the concurrent pool; pool_speedup_4w is their rows/s ratio, recorded ungated because it only becomes meaningful (target >= 2x) at GOMAXPROCS >= 4 — on the 1-CPU reference container the writers serialize; windowed_ingest is the sliding-window sampler (65536-row window, 8 buckets).",
 		Results:     results,
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

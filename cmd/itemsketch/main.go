@@ -231,6 +231,9 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
+	if d := sk.NumAttrs(); T.MaxAttr() >= d {
+		return fmt.Errorf("query: %w: attribute %d out of range, the sketch has d = %d columns", itemsketch.ErrInvalidParams, T.MaxAttr(), d)
+	}
 	p := sk.Params()
 	fmt.Printf("sketch: %s %v\n", sk.Name(), p)
 	ctx := context.Background()

@@ -148,6 +148,16 @@ func TestCommandsEndToEnd(t *testing.T) {
 	if err := cmdQuery([]string{"-sketch", out}); err == nil {
 		t.Error("missing -items should fail")
 	}
+	// An attribute past the sketch's d = 8 columns is an input error,
+	// not a panic; the last column still answers.
+	if err := cmdQuery([]string{"-sketch", out, "-items", "7"}); err != nil {
+		t.Errorf("cmdQuery last column: %v", err)
+	}
+	for _, items := range []string{"8", "0,99"} {
+		if err := cmdQuery([]string{"-sketch", out, "-items", items}); !errors.Is(err, itemsketch.ErrInvalidParams) {
+			t.Errorf("cmdQuery -items %s: got %v, want ErrInvalidParams", items, err)
+		}
+	}
 	if err := cmdMine([]string{}); err == nil {
 		t.Error("missing -sketch should fail")
 	}

@@ -12,10 +12,13 @@
 // Two tiers of API are provided. Vector is the safe, bounds-checked
 // bit-vector type used throughout the lower-bound and coding machinery.
 // The word-slice kernels in words.go (CountWords, AndCountWords,
-// AndInto, AndCountAll, ContainsAllWords) are the zero-allocation hot
-// path used by the dataset query engine: fused single-pass loops over
-// raw []uint64 storage, with Wrap bridging the two representations as
-// a no-copy view.
+// AndNotCountWords, AndInto, AndNotInto, their capped forms,
+// AndCountAll, ContainsAllWords) are the zero-allocation hot path used
+// by the dataset query engine and the miners: fused single-pass loops
+// over raw []uint64 storage, with Wrap bridging the two
+// representations as a no-copy view. The 2-operand kernels and the
+// k-way AndCountAll run AVX2 assembly on capable amd64 hardware
+// (words_amd64.s) and the Go loops everywhere else.
 package bitvec
 
 import (

@@ -5,13 +5,14 @@ package bitvec
 // amd64 kernel dispatch: one-time CPUID feature detection at package
 // init selects between the AVX2 assembly kernels (words_amd64.s) and
 // the portable Go loops. The assembly is taken only when it is live
-// (AVX2 present, YMM state OS-enabled, not forced off by SetPureGo)
-// AND the operand is at least kernelMinWords words — below the
-// crossover the fixed call + VZEROUPPER overhead outweighs the vector
-// win and the Go range loop is faster.
+// (AVX2 present, YMM state OS-enabled, not forced off by SetPureGo).
+// The 2-operand kernels also need at least kernelMinWords operand
+// words — below the crossover the fixed call + VZEROUPPER overhead
+// outweighs the vector win and the Go range loop is faster. The k-way
+// AndCountAll kernel has no such crossover (archAndCountAll).
 
-// kernelMinWords is the measured asm-vs-Go crossover on the reference
-// hardware (Xeon 2.1GHz; see BenchmarkKernelCrossover in
+// kernelMinWords is the measured 2-operand asm-vs-Go crossover on the
+// reference hardware (Xeon 2.1GHz; see BenchmarkKernelCrossover in
 // dispatch_bench_test.go): at 4 words the two are at parity (call +
 // VZEROUPPER overhead eats the vector win), at 8 words the assembly
 // is 1.2–2.2x ahead depending on kernel, 2–2.7x at 16, and 3–4.5x at
@@ -61,6 +62,19 @@ func archAndNotInto(dst, a, b []uint64) int {
 	return andNotIntoGo(dst, a, b)
 }
 
+// archAndCountAll takes the k-way assembly whenever it is live, at any
+// column length: BenchmarkKernelCrossover shows no crossover for it.
+// Its fixed call cost is shared by k >= 3 columns (the public wrapper
+// routes k <= 2 to the 2-operand kernels), so at k = 3 it already
+// matches the Go loop at 1 word and is 1.5–1.7x ahead at 2–4 words,
+// where the 2-operand kernels still lose to theirs.
+func archAndCountAll(cols [][]uint64) int {
+	if kernelAVX2 {
+		return andCountAllAVX2(cols)
+	}
+	return andCountAllGo(cols)
+}
+
 // KernelFeatures describes the active kernel dispatch path, e.g.
 // "avx2=true" when the assembly kernels are live. Benchmarks record it
 // so a perf comparison can distinguish a dispatch-path change from
@@ -83,9 +97,10 @@ func SetPureGo(pure bool) bool {
 	return prev
 }
 
-// Assembly kernels (words_amd64.s). Each takes base pointers and a
-// word count, handles any count including zero-length vector bodies
-// and scalar tails internally, and returns the popcount of the result.
+// 2-operand assembly kernels (words_amd64.s). Each takes base
+// pointers and a word count, handles any count including zero-length
+// vector bodies and scalar tails internally, and returns the popcount
+// of the result.
 // The Into kernels store dst = a OP b; dst may equal a and/or b but
 // must not partially overlap them.
 
@@ -103,3 +118,10 @@ func andIntoAVX2(dst, a, b *uint64, n int) int
 
 //go:noescape
 func andNotIntoAVX2(dst, a, b *uint64, n int) int
+
+// andCountAllAVX2 returns popcount(cols[0] AND ... AND cols[k-1]) for
+// k >= 2 columns of len(cols[0]) words each, reading the column
+// pointers from the slice headers of cols.
+//
+//go:noescape
+func andCountAllAVX2(cols [][]uint64) int

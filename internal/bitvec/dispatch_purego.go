@@ -3,15 +3,17 @@
 package bitvec
 
 // Pure-Go kernel dispatch: every arch except amd64, and any arch under
-// `-tags purego`, binds the 2-operand kernels straight to the portable
-// range loops in words.go. This file and dispatch_amd64.go define the
-// same arch* hooks; exactly one of them compiles into any build.
+// `-tags purego`, binds the 2-operand kernels and the k-way
+// AndCountAll straight to the portable loops in words.go. This file
+// and dispatch_amd64.go define the same arch* hooks; exactly one of
+// them compiles into any build.
 
 func archCountWords(w []uint64) int          { return countWordsGo(w) }
 func archAndCountWords(a, b []uint64) int    { return andCountWordsGo(a, b) }
 func archAndNotCountWords(a, b []uint64) int { return andNotCountWordsGo(a, b) }
 func archAndInto(dst, a, b []uint64) int     { return andIntoGo(dst, a, b) }
 func archAndNotInto(dst, a, b []uint64) int  { return andNotIntoGo(dst, a, b) }
+func archAndCountAll(cols [][]uint64) int    { return andCountAllGo(cols) }
 
 // KernelFeatures describes the active kernel dispatch path, e.g.
 // "avx2=true" when the assembly kernels are live. Benchmarks record it

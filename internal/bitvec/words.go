@@ -25,14 +25,16 @@ import "math/bits"
 // last len%4 words.
 //
 // Kernel layer. The five 2-operand kernels (CountWords,
-// AndCountWords, AndNotCountWords, AndInto, AndNotInto) dispatch at
-// runtime between the portable Go loops in this file and hand-written
-// AVX2 assembly (words_amd64.s): package init probes the CPU via
-// CPUID/XGETBV (cpu_amd64.go) and enables the vector kernels only on
-// amd64 with AVX2 and OS-saved YMM state, and each call takes the
-// assembly only at or above kernelMinWords operand words — below the
-// crossover the call/VZEROUPPER overhead beats the vector win and the
-// Go loop is used. `-tags purego` (any arch) and non-amd64 builds
+// AndCountWords, AndNotCountWords, AndInto, AndNotInto) and the k-way
+// count AndCountAll (k >= 3) dispatch at runtime between the portable
+// Go loops in this file and hand-written AVX2 assembly
+// (words_amd64.s): package init probes the CPU via CPUID/XGETBV
+// (cpu_amd64.go) and enables the vector kernels only on amd64 with
+// AVX2 and OS-saved YMM state. A 2-operand call takes the assembly
+// only at or above kernelMinWords operand words — below the crossover
+// the call/VZEROUPPER overhead beats the vector win and the Go loop is
+// used; the k-way kernel shares that fixed cost across k columns and
+// has no crossover. `-tags purego` (any arch) and non-amd64 builds
 // compile only the Go loops. See dispatch_amd64.go / dispatch_purego.go
 // and the README "Kernel layer" section.
 //
@@ -47,8 +49,10 @@ import "math/bits"
 // nibble-LUT popcount per 32-byte vector) removes per-word work
 // instead of merely rearranging it, and measures well ahead of the
 // range loop above the crossover. Go-level batching still pays where
-// it removes per-word work (the k-ary inner loop of AndCountAll) or
-// per-word branches (the multi-word containment test).
+// it removes per-word work or per-word branches: the multi-word
+// containment test, and the k-ary inner loop of andCountAllGo, which
+// runs only on the portable path (purego and non-amd64 builds, or
+// amd64 without AVX2).
 
 // batchWords is the kernel unroll factor: four 64-bit lanes per
 // iteration, the widest batch that keeps every accumulator chain in
@@ -259,6 +263,8 @@ func NotInto(dst, a []uint64, n int) int {
 // pass, without materializing the intersection. It panics if cols is
 // empty or the slices differ in length. The caller's backing array for
 // cols is not retained, so a stack-allocated [k][]uint64 may be passed.
+// One and two columns go to CountWords and AndCountWords; k >= 3 runs
+// the dispatched k-way kernel.
 func AndCountAll(cols [][]uint64) int {
 	switch len(cols) {
 	case 0:
@@ -274,6 +280,14 @@ func AndCountAll(cols [][]uint64) int {
 			panic("bitvec: AndCountAll length mismatch")
 		}
 	}
+	return archAndCountAll(cols)
+}
+
+// andCountAllGo is the portable k-way kernel for k >= 2 equal-length
+// columns: four words of the running intersection per trip, each
+// ANDed with every further column before one popcount.
+func andCountAllGo(cols [][]uint64) int {
+	first := cols[0]
 	n := 0
 	i := 0
 	for ; i+batchWords <= len(first); i += batchWords {

@@ -2,12 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 versions of the five 2-operand word kernels. Each processes 16
-// words (four 256-bit vectors) per main-loop trip, then single
-// vectors, then a scalar POPCNTQ tail, so any length and any tail
-// residue mod 16 is handled in one call. Loads and stores are
-// unaligned (VMOVDQU): the dataset and miner arenas guarantee only
-// 8-byte alignment.
+// AVX2 versions of the five 2-operand word kernels and of the k-way
+// intersection count. Each processes 16 words (four 256-bit vectors)
+// per main-loop trip, then single vectors, then a scalar POPCNTQ tail,
+// so any length and any tail residue mod 16 is handled in one call.
+// Loads and stores are unaligned (VMOVDQU): the dataset and miner
+// arenas guarantee only 8-byte alignment.
 //
 // Popcount of a 256-bit vector uses the VPSHUFB nibble-LUT technique
 // (Mula/Harley–Seal style accumulation): split each byte into nibbles,
@@ -409,4 +409,106 @@ tail:
 
 done:
 	MOVQ AX, ret+32(FP)
+	RET
+
+// func andCountAllAVX2(cols [][]uint64) int
+//
+// popcount(cols[0] AND cols[1] AND ... AND cols[k-1]) in one pass over
+// k = len(cols) >= 2 columns of len(cols[0]) words each (the Go
+// wrapper checks the count and the equal lengths). Each stripe loads
+// cols[0], then walks the remaining 24-byte slice headers and ANDs
+// each column's words in, so the intersection lives only in registers
+// and is never stored. Stripe widths and popcount are those of the
+// 2-operand kernels: 16 words per main-loop trip, then single vectors,
+// then a scalar POPCNTQ tail.
+//
+// Registers beyond the common plan:
+//   R8   &cols[0] (header array)      R11 end of the header array
+//   R10  header walk pointer          DI  current column base
+//   SI   stripe byte offset, the same in every column
+TEXT ·andCountAllAVX2(SB), NOSPLIT, $0-32
+	MOVQ cols_base+0(FP), R8
+	MOVQ cols_len+8(FP), R11
+	LEAQ (R11)(R11*2), R11
+	LEAQ (R8)(R11*8), R11
+	MOVQ 8(R8), CX
+	XORQ SI, SI
+	KERNELINIT
+
+loop16:
+	CMPQ    CX, $16
+	JLT     vec4
+	MOVQ    (R8), DI
+	VMOVDQU (DI)(SI*1), Y1
+	VMOVDQU 32(DI)(SI*1), Y2
+	VMOVDQU 64(DI)(SI*1), Y3
+	VMOVDQU 96(DI)(SI*1), Y4
+	LEAQ    24(R8), R10
+
+and16:
+	MOVQ    (R10), DI
+	VPAND   (DI)(SI*1), Y1, Y1
+	VPAND   32(DI)(SI*1), Y2, Y2
+	VPAND   64(DI)(SI*1), Y3, Y3
+	VPAND   96(DI)(SI*1), Y4, Y4
+	ADDQ    $24, R10
+	CMPQ    R10, R11
+	JNE     and16
+	NIBPOP(Y1, Y5)
+	NIBPOP(Y2, Y5)
+	VPADDB  Y2, Y1, Y1
+	NIBPOP(Y3, Y5)
+	VPADDB  Y3, Y1, Y1
+	NIBPOP(Y4, Y5)
+	VPADDB  Y4, Y1, Y1
+	VPSADBW Y9, Y1, Y1
+	VPADDQ  Y1, Y0, Y0
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     loop16
+
+vec4:
+	CMPQ    CX, $4
+	JLT     reduce
+	MOVQ    (R8), DI
+	VMOVDQU (DI)(SI*1), Y1
+	LEAQ    24(R8), R10
+
+and4:
+	MOVQ    (R10), DI
+	VPAND   (DI)(SI*1), Y1, Y1
+	ADDQ    $24, R10
+	CMPQ    R10, R11
+	JNE     and4
+	NIBPOP(Y1, Y5)
+	VPSADBW Y9, Y1, Y1
+	VPADDQ  Y1, Y0, Y0
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     vec4
+
+reduce:
+	REDUCE
+
+tail:
+	TESTQ   CX, CX
+	JZ      done
+	MOVQ    (R8), DI
+	MOVQ    (DI)(SI*1), BX
+	LEAQ    24(R8), R10
+
+and1:
+	MOVQ    (R10), DI
+	ANDQ    (DI)(SI*1), BX
+	ADDQ    $24, R10
+	CMPQ    R10, R11
+	JNE     and1
+	POPCNTQ BX, BX
+	ADDQ    BX, AX
+	ADDQ    $8, SI
+	DECQ    CX
+	JMP     tail
+
+done:
+	MOVQ AX, ret+24(FP)
 	RET

@@ -67,6 +67,23 @@ func TestAsmKernelsMatchGo(t *testing.T) {
 	}
 }
 
+// TestAsmAndCountAllMatchesGo pins the k-way assembly directly to the
+// Go loop it replaces, for k = 2..8 (the public wrapper never sends it
+// k = 2) over the k-column operand sets.
+func TestAsmAndCountAllMatchesGo(t *testing.T) {
+	requireAVX2(t)
+	pats := kernelPatterns()
+	for _, n := range asmTestLengths() {
+		for k := 2; k <= 8; k++ {
+			forEachColumnSet(pats, n, k, func(name string, cols [][]uint64) {
+				if got, want := andCountAllAVX2(cols), andCountAllGo(cols); got != want {
+					t.Fatalf("andCountAllAVX2 n=%d k=%d %s: got %d want %d", n, k, name, got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestAsmKernelsAliased drives the Into assembly with dst aliasing an
 // operand exactly, against the Go kernels on copies.
 func TestAsmKernelsAliased(t *testing.T) {

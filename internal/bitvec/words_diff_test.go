@@ -1,14 +1,15 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// Differential suite for the 2-operand kernel layer: the dispatched
-// kernels (assembly on capable amd64 hardware, Go loops elsewhere)
-// must be bit-identical to straightforward reference loops for every
+// Differential suite for the kernel layer: the dispatched kernels
+// (assembly on capable amd64 hardware, Go loops elsewhere) must be
+// bit-identical to straightforward reference loops for every
 // operation, across lengths covering every tail residue of the
 // 16-word vector batch, degenerate and adversarial bit patterns, and
 // sub-slices carved at odd word offsets from a shared arena (8-byte
@@ -68,6 +69,17 @@ func refAndNotCount(a, b []uint64) int {
 	return c
 }
 
+func refAndCountAll(cols [][]uint64) int {
+	c := 0
+	for i, x := range cols[0] {
+		for _, col := range cols[1:] {
+			x &= col[i]
+		}
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
 // fillPattern writes pat into dst with the global word index starting
 // at base, so carved sub-slices see the same stream as flat slices.
 func fillPattern(dst []uint64, pat func(int) uint64, base int) {
@@ -98,6 +110,76 @@ func forEachOperandPair(t *testing.T, n int, fn func(name string, a, b []uint64)
 			fn(an+"/"+bn+"/unaligned", ua, ub)
 		}
 	}
+}
+
+// columnBase is the pattern-stream offset between consecutive columns
+// of a k-column set, so random columns are distinct and the periodic
+// families are phase-shifted against each other.
+const columnBase = 997
+
+// forEachColumnSet runs fn over k-column operand sets of n words each,
+// drawn from pats (kernelPatterns, built once by the caller):
+//   - per family, every column from it, and columns alternating
+//     between it and random;
+//   - one knockout set per column position, where that column is
+//     random and every other is all-ones, so a kernel that skips any
+//     column (first, middle or last) miscounts;
+//   - repeated columns, the same slice passed more than once.
+//
+// The family and knockout sets run both as flat slices and carved from
+// one arena at word offsets 1, n+4, 2n+7, … (8-byte aligned, rarely
+// 32-byte aligned), like dataset column windows.
+func forEachColumnSet(pats map[string]func(int) uint64, n, k int, fn func(name string, cols [][]uint64)) {
+	cols := make([][]uint64, k)
+	emit := func(name string, gen func(j int) func(int) uint64) {
+		flat := make([]uint64, k*n)
+		for j := range cols {
+			cols[j] = flat[j*n : (j+1)*n : (j+1)*n]
+			fillPattern(cols[j], gen(j), j*columnBase)
+		}
+		fn(name+"/flat", cols)
+		stride := n + 3
+		arena := make([]uint64, k*stride+1)
+		for j := range cols {
+			lo := 1 + j*stride
+			cols[j] = arena[lo : lo+n : lo+n]
+			copy(cols[j], flat[j*n:])
+		}
+		fn(name+"/unaligned", cols)
+	}
+	for pn, pp := range pats {
+		emit(pn, func(int) func(int) uint64 { return pp })
+		emit(pn+"/random", func(j int) func(int) uint64 {
+			if j%2 == 0 {
+				return pp
+			}
+			return pats["random"]
+		})
+	}
+	for pos := 0; pos < k; pos++ {
+		emit(fmt.Sprintf("knockout@%d", pos), func(j int) func(int) uint64 {
+			if j == pos {
+				return pats["random"]
+			}
+			return pats["ones"]
+		})
+	}
+
+	ab := make([]uint64, 2*n)
+	a, b := ab[:n:n], ab[n:]
+	fillPattern(a, pats["random"], 0)
+	fillPattern(b, pats["random"], columnBase)
+	for j := range cols {
+		cols[j] = a
+		if j%3 == 1 {
+			cols[j] = b
+		}
+	}
+	fn("repeat/aba", cols)
+	for j := range cols {
+		cols[j] = a
+	}
+	fn("repeat/a", cols)
 }
 
 func TestKernelDifferentialCounts(t *testing.T) {
@@ -141,6 +223,26 @@ func TestKernelDifferentialInto(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelDifferentialAndCountAll checks the k-way count for
+// k = 3..12 at every length 0..256 plus large operands.
+func TestKernelDifferentialAndCountAll(t *testing.T) {
+	lengths := make([]int, 0, 260)
+	for n := 0; n <= 256; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1000, 1563, 4096)
+	pats := kernelPatterns()
+	for _, n := range lengths {
+		for k := 3; k <= 12; k++ {
+			forEachColumnSet(pats, n, k, func(name string, cols [][]uint64) {
+				if got, want := AndCountAll(cols), refAndCountAll(cols); got != want {
+					t.Fatalf("AndCountAll n=%d k=%d %s: got %d want %d", n, k, name, got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -244,11 +346,14 @@ func TestKernelPureGoPath(t *testing.T) {
 	t.Run("counts", TestKernelDifferentialCounts)
 	t.Run("into", TestKernelDifferentialInto)
 	t.Run("capped", TestKernelCappedDifferential)
+	t.Run("andcountall", TestKernelDifferentialAndCountAll)
 }
 
 // FuzzWordKernels cross-checks every dispatched kernel against the
-// reference loops on fuzzer-chosen operands (split point chosen by the
-// first byte, remaining bytes packed into words).
+// reference loops on fuzzer-chosen operands: the remaining bytes are
+// packed into words and split in two for the 2-operand kernels and
+// into k = 3 + data[0]%10 columns for AndCountAll; data[0] is also
+// the capped kernel's budget.
 func FuzzWordKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0xff, 0x00, 0xaa})
@@ -292,6 +397,15 @@ func FuzzWordKernels(f *testing.F) {
 			if dst[i] != a[i]&^b[i] {
 				t.Fatalf("AndNotInto dst[%d] mismatch", i)
 			}
+		}
+		k := 3 + int(data[0]%10)
+		m := len(words) / k
+		cols := make([][]uint64, k)
+		for j := range cols {
+			cols[j] = words[j*m : (j+1)*m : (j+1)*m]
+		}
+		if got, want := AndCountAll(cols), refAndCountAll(cols); got != want {
+			t.Fatalf("AndCountAll k=%d: %d want %d", k, got, want)
 		}
 		budget := int(data[0])
 		cnt, ok := AndIntoCapped(dst, a, b, budget)
