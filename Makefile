@@ -42,14 +42,15 @@ doclint:
 	$(GO) run ./cmd/doclint
 
 # bench runs the operational benchmark suite, records the results, and
-# gates the construction + mining + count-sketch + ingest benchmarks —
-# plus the memoized service read paths (PR 9) and, from PR 10, the
-# dispatched bitvec word kernels (kernel_*) — against the previous
-# PR's numbers; bump the output/baseline names in later PRs to keep
-# the perf trajectory. If the shared reference container's clock has
-# drifted since the baseline was recorded (untouched families moving
-# >20%), re-measure the previous PR's tree (git worktree add) on the
-# same day rather than comparing wall-clock numbers across weeks —
+# gates the construction, mining, count-sketch, WAL and windowed-ingest
+# benchmarks, the memoized service read paths (service_hh_mg_hot,
+# service_mine_hot) and the dispatched bitvec word kernels (kernel_*)
+# against the previous numbers; bump the output/baseline names with
+# each recorded run to keep the perf trajectory. If the shared
+# reference container's clock has drifted since the baseline was
+# recorded (untouched families moving >20%), re-measure the baseline
+# tree (git worktree add) on the same day rather than comparing
+# wall-clock numbers across weeks —
 # BENCH_7/8/9_remeasured.json are all such same-day re-baselines
 # (BENCH_9_remeasured: untouched families like wal_append and
 # scan_serial moved +33–52% on the byte-identical PR 9 tree).

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -107,12 +106,10 @@ var gatedPrefixes = []string{
 	"heavyhitters_",
 	"mine_",
 	"wal_",
-	"ingest_concurrent_",
 	"windowed_",
 	// The memoized service read paths: repeated hot queries must stay
 	// cache-hits (one cross-shard merge per snapshot generation), so a
 	// regression here means the merge caches stopped absorbing repeats.
-	"service_estimate_coalesced",
 	"service_mine_hot",
 	"service_hh_mg_hot",
 }
@@ -473,13 +470,9 @@ func main() {
 		})
 	}
 
-	// Streaming ingest subsystem: WAL append/replay, the concurrent
-	// pool at 1 and 4 writers, and the sliding-window sampler. All
-	// rows are fixed-size workloads (independent of -quick) so the
-	// names gate across run modes. The 4w/1w rows-per-second ratio is
-	// recorded ungated (pool_speedup_4w): on the single-CPU reference
-	// container the workers serialize and the ratio hovers near 1; it
-	// becomes meaningful (target ≥ 2x) only at GOMAXPROCS ≥ 4.
+	// Streaming ingest subsystem: WAL append/replay and the
+	// sliding-window sampler. All rows are fixed-size workloads
+	// (independent of -quick) so the names gate across run modes.
 	{
 		mkRows := func(n int) [][]int {
 			r := rng.New(21)
@@ -555,45 +548,6 @@ func main() {
 				}
 			}
 		})
-
-		poolNs := make(map[int]float64, 2)
-		for _, workers := range []int{1, 4} {
-			pl, err := ingest.NewPool(ingest.PoolConfig{
-				NumAttrs: 64, Workers: workers, SampleCapacity: 4096,
-				HeavyK: 64, Seed: 1,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			name := fmt.Sprintf("ingest_concurrent_%dw", workers)
-			record(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := pl.Add(rows[i&8191]...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := pl.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			})
-			poolNs[workers] = results[len(results)-1].NsPerOp
-			if err := pl.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if poolNs[4] > 0 {
-			speedup := poolNs[1] / poolNs[4]
-			results = append(results, result{
-				Name:       "pool_speedup_4w",
-				NsPerOp:    speedup,
-				Iterations: 1,
-			})
-			fmt.Printf("%-32s %12.2fx rows/s vs 1 writer (GOMAXPROCS=%d; target ≥ 2x needs ≥ 4 CPUs)\n",
-				"pool_speedup_4w", speedup, runtime.GOMAXPROCS(0))
-		}
 
 		win, err := itemsketch.NewWindowedReservoir(64, 65536, 8, 4096, 1, p)
 		if err != nil {
@@ -772,63 +726,6 @@ func main() {
 		svc.Close()
 	}
 
-	// Coalesced query tier: 8 concurrent single-itemset estimates per
-	// op through a coalesce-enabled service — the collector batches
-	// them into (ideally) one fan-out, so ns/op is the cost of
-	// answering 8 concurrent requests, goroutine handoff included.
-	{
-		svc, err := service.New(service.Config{
-			Shards: 8, NumAttrs: 64, SampleCapacity: 4096, Seed: 1,
-			Coalesce: &service.CoalesceConfig{Linger: 100 * time.Microsecond, MaxBatch: 8},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		r := rng.New(13)
-		rows := make([][]int, 4096)
-		for i := range rows {
-			var attrs []int
-			for a := 0; a < 64; a++ {
-				if r.Bernoulli(0.1) {
-					attrs = append(attrs, a)
-				}
-			}
-			rows[i] = attrs
-		}
-		if _, err := svc.Ingest(ctx, rows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		qs := make([][]itemsketch.Itemset, 8)
-		for i := range qs {
-			a := r.Intn(64)
-			c := (a + 1 + r.Intn(63)) % 64
-			qs[i] = []itemsketch.Itemset{itemsketch.MustItemset(a, c)}
-		}
-		record("service_estimate_coalesced", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make([]error, len(qs))
-				for j := range qs {
-					wg.Add(1)
-					go func(j int) {
-						defer wg.Done()
-						_, _, errs[j] = svc.Estimate(ctx, qs[j])
-					}(j)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		svc.Close()
-	}
-
 	rep := report{
 		Date:        time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -837,7 +734,7 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		CPUFeatures: bitvec.KernelFeatures(),
-		Notes:       "kernel_* rows measure the dispatched bitvec word kernels (AND/ANDN popcount and store+count) at 157- and 1563-word operands — the 10k- and 100k-row column sizes — and the k-way AND popcount (AndCountAll, k = 3 and 4) at 512 words, one 32,768-row service shard sample; cpu_features records whether they ran the AVX2 assembly (avx2=true) or the portable Go loops, so cross-machine comparisons are honest. parallel/sharded variants (scan_parallel, subsample_build_parallel, median_amplifier_build) only beat their serial twins with >1 CPU; on a single-CPU runner read them as no-regression checks. mine_eclat_dense is the forced-tidset baseline on the dense database; mine_eclat_diffset is the same mine with forced diffsets. countsketch_ingest/estimate are per-item costs over a 2^16-universe hierarchical count sketch (5x1024, base 16); heavyhitters_find is one full recursive descent at phi=0.01 on a Zipf(1.2) stream. service_* rows measure the sharded sketch service (8 shards, d=64) through its Go API; service_estimate_p99 is a latency quantile (99th percentile single-query latency), not a throughput mean; the ingest/estimate/p99 service rows are reported, not gated. service_hh_mg_hot and service_mine_hot are the memoized read paths with ingest quiesced (cache-hit cost after one warming merge; mine still runs its Apriori pass per request over the cached union sample) and ARE gated; service_estimate_coalesced is the cost of 8 concurrent single-itemset estimates batched by the request coalescer (100us linger, max batch 8), also gated. wal_append/wal_replay are the write-ahead row log (default 256-row records; replay covers a fixed 8192-row log per op); ingest_concurrent_1w/4w are per-row costs through the concurrent pool; pool_speedup_4w is their rows/s ratio, recorded ungated because it only becomes meaningful (target >= 2x) at GOMAXPROCS >= 4 — on the 1-CPU reference container the writers serialize; windowed_ingest is the sliding-window sampler (65536-row window, 8 buckets).",
+		Notes:       "kernel_* rows measure the dispatched bitvec word kernels (AND/ANDN popcount and store+count) at 157- and 1563-word operands — the 10k- and 100k-row column sizes — and the k-way AND popcount (AndCountAll, k = 3 and 4) at 512 words, one 32,768-row service shard sample; cpu_features records whether they ran the AVX2 assembly (avx2=true) or the portable Go loops, so cross-machine comparisons are honest. parallel/sharded variants (scan_parallel, subsample_build_parallel, median_amplifier_build) only beat their serial twins with >1 CPU; on a single-CPU runner read them as no-regression checks. mine_eclat_dense is the forced-tidset baseline on the dense database; mine_eclat_diffset is the same mine with forced diffsets. countsketch_ingest/estimate are per-item costs over a 2^16-universe hierarchical count sketch (5x1024, base 16); heavyhitters_find is one full recursive descent at phi=0.01 on a Zipf(1.2) stream. service_* rows measure the sharded sketch service (8 shards, d=64) through its Go API; service_estimate_p99 is a latency quantile (99th percentile single-query latency), not a throughput mean; the ingest/estimate/p99 service rows are reported, not gated. service_hh_mg_hot and service_mine_hot are the memoized read paths with ingest quiesced (cache-hit cost after one warming merge; mine still runs its Apriori pass per request over the cached union sample) and ARE gated. wal_append/wal_replay are the write-ahead row log (default 256-row records; replay covers a fixed 8192-row log per op); windowed_ingest is the sliding-window sampler (65536-row window, 8 buckets).",
 		Results:     results,
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,8 +27,6 @@ import (
 
 	itemsketch "repro"
 	"repro/internal/atomicfile"
-	"repro/internal/bitvec"
-	"repro/internal/core"
 )
 
 func main() {
@@ -165,38 +162,15 @@ func cmdSketch(args []string) error {
 
 // Sketch files are the MarshalTo envelope verbatim (version 1 or 2),
 // decoded through the streaming path so only one chunk is buffered.
-// Files written before the envelope existed (8-byte little-endian bit
-// count, then the packed bits) are still readable through the legacy
-// raw fallback below — the public MarshalRaw/UnmarshalRaw wrappers are
-// gone, but the CLI keeps decoding old files by driving the core
-// decoder over the bare bit stream, which needs the whole file in
-// memory.
+// Files written before the envelope existed (a bare bit count and
+// payload) are no longer read: they fail as corrupt envelopes.
 func readSketchFile(path string) (itemsketch.Sketch, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	sk, serr := itemsketch.UnmarshalFrom(f)
-	f.Close()
-	if serr == nil || !errors.Is(serr, itemsketch.ErrCorruptSketch) {
-		return sk, serr
-	}
-	// Not a (valid) envelope: try the pre-envelope format directly —
-	// the envelope decode already failed, so only the legacy
-	// interpretation is left, and its failure reports the envelope
-	// error (the likelier diagnosis).
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) >= 8 {
-		if bits := binary.LittleEndian.Uint64(raw[:8]); bits <= uint64(len(raw)-8)*8 {
-			if legacy, lerr := core.UnmarshalSketch(bitvec.NewReader(raw[8:], int(bits))); lerr == nil {
-				return legacy, nil
-			}
-		}
-	}
-	return nil, serr
+	defer f.Close()
+	return itemsketch.UnmarshalFrom(f)
 }
 
 func parseItems(s string) (itemsketch.Itemset, error) {

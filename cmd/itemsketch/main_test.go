@@ -78,7 +78,7 @@ func TestSketchFileRoundTrip(t *testing.T) {
 	}
 
 	// Files from the pre-envelope format (8-byte bit count + raw
-	// payload) still read through the legacy fallback.
+	// payload) no longer read: they fail as corrupt envelopes.
 	var w bitvec.Writer
 	sk.MarshalBits(&w)
 	raw, bits := w.Bytes(), w.BitLen()
@@ -90,12 +90,8 @@ func TestSketchFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(legacy, append(hdr, raw...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old, err := readSketchFile(legacy)
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if old.(itemsketch.EstimatorSketch).Estimate(T) != sk.(itemsketch.EstimatorSketch).Estimate(T) {
-		t.Fatal("estimate changed across legacy round trip")
+	if _, err := readSketchFile(legacy); !errors.Is(err, itemsketch.ErrCorruptSketch) {
+		t.Fatalf("legacy read: %v, want ErrCorruptSketch", err)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package ingest is the streaming ingest subsystem: a durable
-// write-ahead row log (WAL) whose records are envelope-framed row
-// batches, and a concurrent sharded ingest pool whose writer workers
-// own private sub-sketches merged on read (pool.go).
+// Package ingest is the durable write-ahead row log (WAL) of streaming
+// ingest, whose records are envelope-framed row batches. Sharded
+// ingest itself is the service's job (internal/service).
 //
 // The WAL makes ingest replayable: rows are appended to segment files
 // as standard v2 sketch envelopes (chunked CRC-32 framing, optional
@@ -115,7 +114,7 @@ func (c *WALConfig) segmentBytes() int64 {
 var walCarrierParams = core.Params{K: 1, Eps: 0.5, Delta: 0.5, Mode: core.ForEach, Task: core.Estimator}
 
 // WAL is an append-only durable row log. It is not safe for concurrent
-// use; the ingest pool serializes appends through its log goroutine.
+// use: a caller with several writers serializes its appends.
 type WAL struct {
 	cfg     WALConfig
 	active  *os.File

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -14,7 +13,6 @@ import (
 	itemsketch "repro"
 	"repro/internal/atomicfile"
 	"repro/internal/core"
-	"repro/internal/countsketch"
 	"repro/internal/stream"
 )
 
@@ -22,25 +20,16 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "ISKP"
-//	4       1     version (1)
+//	4       1     version (4)
 //	5       2     shard id
 //	7       8     rows seen
 //	15      4     reservoir capacity
-//	19      4     Misra–Gries k (0 = heavy-hitter path disabled)
-//	23      8     reservoir restart seed
-//	31      4     CRC-32 (IEEE) of bytes [0,31)
-//	35      ...   sketch envelope (itemsketch.MarshalTo of the sample
+//	19      8     reservoir restart seed
+//	27      4     CRC-32 (IEEE) of bytes [0,27)
+//	31      ...   reservoir envelope (itemsketch.MarshalTo of the sample
 //	              wrapped as a SUBSAMPLE sketch)
-//	...     ...   Misra–Gries section when k > 0:
-//	              n u64, counter count u32, (item u32, count u64)...,
-//	              CRC-32 of the section bytes
-//	...     1     count-sketch presence flag (version ≥ 2)
-//	...     ...   count-sketch envelope (itemsketch.MarshalTo) when the
-//	              flag is 1
-//	...     1     windowed-reservoir presence flag (version ≥ 3)
-//	...     ...   windowed-reservoir envelope when the flag is 1
-//	...     1     decayed-misra-gries presence flag (version ≥ 3)
-//	...     ...   decayed-misra-gries envelope when the flag is 1
+//	...     ...   per sketch-set kind, in sketchSet order: a presence
+//	              byte (0 or 1), then the kind's envelope when it is 1
 //
 // The envelopes reuse the public streaming codec, so a checkpoint's
 // sketch portions are inspectable and recoverable by the same tooling
@@ -49,18 +38,14 @@ import (
 // Algorithm R's stream position, the capacity (the sample may be
 // smaller near the start of a stream), and a fresh seed — which is all
 // a reservoir needs to continue the stream with its uniformity
-// guarantee intact (see stream.RestoreReservoir). The count sketch and
-// the window sketches need no header help: their envelopes carry
-// geometry, seeds and counters, everything their exact state is.
-//
-// Version 3 (this build) appends the two sliding-window sections;
-// version-2 files (count sketch, no window) and version-1 files (no
-// count-sketch section either) still read, starting any configured
-// window sketches empty.
+// guarantee intact (see stream.RestoreReservoir). Every other kind
+// needs no header help: its envelope carries geometry, seeds and
+// counters, everything its exact state is. A file of any other version
+// fails with ErrUnsupportedVersion.
 const (
 	ckptMagic      = "ISKP"
-	ckptVersion    = 3
-	ckptHeaderSize = 35
+	ckptVersion    = 4
+	ckptHeaderSize = 31
 )
 
 // ckptCorruptf mirrors the codec's corruptf for checkpoint-level
@@ -80,22 +65,6 @@ func (s *Service) checkpointPath(id int) string {
 	return filepath.Join(s.cfg.CheckpointDir, fmt.Sprintf("shard-%d.ckpt", id))
 }
 
-// ckptState is the frozen shard state a checkpoint persists, captured
-// under the shard lock and written outside it.
-type ckptState struct {
-	seen     int64
-	capacity int
-	seed     uint64
-	sketch   itemsketch.Sketch
-	mgK      int
-	mgN      int64
-	mgItems  []int
-	mgCounts []int64
-	cs       *countsketch.Sketch       // frozen clone; nil when disabled
-	win      *stream.WindowedReservoir // frozen clone; nil when disabled
-	dmg      *stream.DecayedMisraGries // frozen clone; nil when disabled
-}
-
 // Checkpoint persists the shard's current state crash-safely: the
 // state is frozen under the shard lock, encoded through the public
 // envelope codec, and written with atomicfile (temp + fsync + rename)
@@ -106,7 +75,8 @@ func (sh *Shard) Checkpoint() error {
 	if sh.svc.cfg.CheckpointDir == "" {
 		return nil
 	}
-	st, err := sh.freezeForCheckpoint()
+	snap, seed := sh.freezeForCheckpoint()
+	sample, err := core.SubsampleFromSample(snap.res.Database(), sh.svc.cfg.Params)
 	if err != nil {
 		sh.recordFailure(err)
 		return err
@@ -116,7 +86,7 @@ func (sh *Shard) Checkpoint() error {
 			if wrap := sh.svc.cfg.CheckpointWriteWrap; wrap != nil {
 				w = wrap(w)
 			}
-			return writeCheckpoint(w, sh.id, st)
+			return writeCheckpoint(w, sh.id, seed, snap, sample)
 		})
 	})
 	if err != nil {
@@ -128,104 +98,37 @@ func (sh *Shard) Checkpoint() error {
 	return nil
 }
 
-// freezeForCheckpoint captures a consistent snapshot of the shard's
-// persistent state and resets the auto-checkpoint counter. The restart
-// seed is drawn from the shard's generator, so recovered reservoirs
-// get coins independent of anything used before the crash.
-func (sh *Shard) freezeForCheckpoint() (ckptState, error) {
+// freezeForCheckpoint returns the state a checkpoint persists and resets
+// the auto-checkpoint counter. While the shard lock is held the
+// published snapshot is the live state, and it is immutable, so it is
+// written as it is. The restart seed is drawn from the shard's
+// generator, so recovered reservoirs get coins independent of anything
+// used before the crash.
+func (sh *Shard) freezeForCheckpoint() (*snapshot, uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := ckptState{
-		seen:     sh.res.Seen(),
-		capacity: sh.res.Capacity(),
-		seed:     sh.jrng.Uint64(),
-	}
-	sk, err := core.SubsampleFromSample(sh.res.Database(), sh.svc.cfg.Params)
-	if err != nil {
-		return ckptState{}, err
-	}
-	st.sketch = sk
-	if sh.mg != nil {
-		st.mgK = sh.svc.cfg.HeavyK
-		st.mgN, st.mgItems, st.mgCounts = sh.mg.Snapshot()
-	}
-	if sh.cs != nil {
-		st.cs = sh.cs.Clone()
-	}
-	if sh.win != nil {
-		st.win = sh.win.Clone()
-	}
-	if sh.dmg != nil {
-		st.dmg = sh.dmg.Clone()
-	}
 	sh.sinceCkpt = 0
-	return st, nil
+	return sh.snapshot(), sh.jrng.Uint64()
 }
 
-// writeCheckpoint streams one checkpoint image to w.
-func writeCheckpoint(w io.Writer, id int, st ckptState) error {
+// writeCheckpoint streams one checkpoint image of snap to w; sample is
+// snap's reservoir wrapped as a sketch.
+func writeCheckpoint(w io.Writer, id int, seed uint64, snap *snapshot, sample itemsketch.Sketch) error {
 	var hdr [ckptHeaderSize]byte
 	copy(hdr[0:4], ckptMagic)
 	hdr[4] = ckptVersion
 	binary.LittleEndian.PutUint16(hdr[5:7], uint16(id))
-	binary.LittleEndian.PutUint64(hdr[7:15], uint64(st.seen))
-	binary.LittleEndian.PutUint32(hdr[15:19], uint32(st.capacity))
-	binary.LittleEndian.PutUint32(hdr[19:23], uint32(st.mgK))
-	binary.LittleEndian.PutUint64(hdr[23:31], st.seed)
-	binary.LittleEndian.PutUint32(hdr[31:35], crc32.ChecksumIEEE(hdr[:31]))
+	binary.LittleEndian.PutUint64(hdr[7:15], uint64(snap.seen))
+	binary.LittleEndian.PutUint32(hdr[15:19], uint32(snap.res.Capacity()))
+	binary.LittleEndian.PutUint64(hdr[19:27], seed)
+	binary.LittleEndian.PutUint32(hdr[27:31], crc32.ChecksumIEEE(hdr[:27]))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := itemsketch.MarshalTo(w, st.sketch); err != nil {
+	if _, err := itemsketch.MarshalTo(w, sample); err != nil {
 		return err
 	}
-	if st.mgK > 0 {
-		var sec bytes.Buffer
-		var b8 [8]byte
-		binary.LittleEndian.PutUint64(b8[:], uint64(st.mgN))
-		sec.Write(b8[:])
-		binary.LittleEndian.PutUint32(b8[:4], uint32(len(st.mgItems)))
-		sec.Write(b8[:4])
-		for i, it := range st.mgItems {
-			binary.LittleEndian.PutUint32(b8[:4], uint32(it))
-			sec.Write(b8[:4])
-			binary.LittleEndian.PutUint64(b8[:], uint64(st.mgCounts[i]))
-			sec.Write(b8[:])
-		}
-		binary.LittleEndian.PutUint32(b8[:4], crc32.ChecksumIEEE(sec.Bytes()))
-		sec.Write(b8[:4])
-		if _, err := w.Write(sec.Bytes()); err != nil {
-			return err
-		}
-	}
-	for _, sec := range []itemsketch.Sketch{sketchOrNil(st.cs), sketchOrNil(st.win), sketchOrNil(st.dmg)} {
-		flag := []byte{0}
-		if sec != nil {
-			flag[0] = 1
-		}
-		if _, err := w.Write(flag); err != nil {
-			return err
-		}
-		if sec != nil {
-			if _, err := itemsketch.MarshalTo(w, sec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sketchOrNil lifts a typed nil sketch pointer into an untyped nil
-// interface, so the flag-section loop's nil test works.
-func sketchOrNil[T interface {
-	itemsketch.Sketch
-	comparable
-}](s T) itemsketch.Sketch {
-	var zero T
-	if s == zero {
-		return nil
-	}
-	return s
+	return writeKinds(w, &snap.kinds)
 }
 
 // readSection fills buf from r, classifying an early end of stream as
@@ -241,196 +144,47 @@ func readSection(r io.Reader, buf []byte, truncMsg string) error {
 	return nil
 }
 
-// recovered is the state readCheckpoint hands back for shard restart.
-type recovered struct {
-	res *stream.Reservoir
-	mg  *stream.MisraGries
-	cs  *countsketch.Sketch
-	win *stream.WindowedReservoir
-	dmg *stream.DecayedMisraGries
-}
-
-// readCheckpoint decodes and validates one checkpoint image from r.
-// Truncation wraps ErrTruncatedStream, corruption wraps
-// ErrCorruptSketch (the sketch envelope's own classification passes
-// through), and transport errors from r surface bare. wantCS, when
-// non-nil, is the resolved count-sketch configuration the recovered
-// sketch must match exactly — geometry, hash seed and params — because
-// a shard restarted onto different hashes could never merge with its
-// peers again. wantWin and wantDmg are the shard's freshly built window
-// sketches (nil when the window is disabled); a recovered window
-// section must match their geometry, seed and params for the same
-// reason.
-func readCheckpoint(r io.Reader, wantID, wantAttrs, wantK int, wantCS *countsketch.Config,
-	wantWin *stream.WindowedReservoir, wantDmg *stream.DecayedMisraGries) (recovered, error) {
+// readCheckpoint decodes and validates one checkpoint image from r: the
+// restored reservoir, and the kinds the file carries, each checked
+// against want, the freshly built sketch set of the running config (see
+// readKinds). Truncation wraps ErrTruncatedStream, corruption wraps
+// ErrCorruptSketch (the envelopes' own classification passes through),
+// and transport errors from r surface bare.
+func readCheckpoint(r io.Reader, wantID, wantAttrs int, want sketchSet) (*stream.Reservoir, sketchSet, error) {
 	var hdr [ckptHeaderSize]byte
 	if err := readSection(r, hdr[:], "header cut short"); err != nil {
-		return recovered{}, err
+		return nil, sketchSet{}, err
 	}
 	if string(hdr[0:4]) != ckptMagic {
-		return recovered{}, ckptCorruptf("bad magic %q", hdr[0:4])
+		return nil, sketchSet{}, ckptCorruptf("bad magic %q", hdr[0:4])
 	}
-	if got, want := binary.LittleEndian.Uint32(hdr[31:35]), crc32.ChecksumIEEE(hdr[:31]); got != want {
-		return recovered{}, ckptCorruptf("header checksum 0x%08x, want 0x%08x", got, want)
+	if got, want := binary.LittleEndian.Uint32(hdr[27:31]), crc32.ChecksumIEEE(hdr[:27]); got != want {
+		return nil, sketchSet{}, ckptCorruptf("header checksum 0x%08x, want 0x%08x", got, want)
 	}
-	version := int(hdr[4])
-	if version < 1 || version > ckptVersion {
-		return recovered{}, fmt.Errorf("%w: checkpoint version %d, this build reads 1..%d",
+	if version := int(hdr[4]); version != ckptVersion {
+		return nil, sketchSet{}, fmt.Errorf("%w: checkpoint version %d, this build reads %d",
 			itemsketch.ErrUnsupportedVersion, version, ckptVersion)
 	}
 	if id := int(binary.LittleEndian.Uint16(hdr[5:7])); id != wantID {
-		return recovered{}, ckptCorruptf("belongs to shard %d, not %d", id, wantID)
+		return nil, sketchSet{}, ckptCorruptf("belongs to shard %d, not %d", id, wantID)
 	}
 	seen := int64(binary.LittleEndian.Uint64(hdr[7:15]))
 	capacity := int(binary.LittleEndian.Uint32(hdr[15:19]))
-	mgK := int(binary.LittleEndian.Uint32(hdr[19:23]))
-	seed := binary.LittleEndian.Uint64(hdr[23:31])
-	if mgK != wantK && !(mgK == 0 && wantK <= 0) {
-		return recovered{}, ckptCorruptf("misra-gries k = %d, config wants %d", mgK, wantK)
-	}
+	seed := binary.LittleEndian.Uint64(hdr[19:27])
 
-	sk, err := itemsketch.UnmarshalFrom(r)
+	sample, err := readSample(r, wantAttrs)
 	if err != nil {
-		return recovered{}, err
-	}
-	holder, ok := sk.(core.SampleHolder)
-	if !ok {
-		return recovered{}, ckptCorruptf("envelope holds a %s sketch, not a sample-backed one", sk.Name())
-	}
-	sample := holder.Sample()
-	if sample.NumCols() != wantAttrs {
-		return recovered{}, ckptCorruptf("sample has %d attributes, config wants %d", sample.NumCols(), wantAttrs)
+		return nil, sketchSet{}, err
 	}
 	res, err := stream.RestoreReservoir(sample, capacity, seen, seed)
 	if err != nil {
-		return recovered{}, ckptCorruptf("reservoir state rejected: %v", err)
+		return nil, sketchSet{}, ckptCorruptf("reservoir state rejected: %v", err)
 	}
-	out := recovered{res: res}
-
-	if mgK > 0 {
-		var fixed [12]byte
-		if err := readSection(r, fixed[:], "heavy-hitter section header missing"); err != nil {
-			return recovered{}, err
-		}
-		n := int64(binary.LittleEndian.Uint64(fixed[0:8]))
-		count := int(binary.LittleEndian.Uint32(fixed[8:12]))
-		if count > mgK-1 {
-			return recovered{}, ckptCorruptf("heavy-hitter section claims %d counters for k = %d", count, mgK)
-		}
-		body := make([]byte, count*12)
-		if err := readSection(r, body, "heavy-hitter counters truncated"); err != nil {
-			return recovered{}, err
-		}
-		var crcBuf [4]byte
-		if err := readSection(r, crcBuf[:], "heavy-hitter checksum missing"); err != nil {
-			return recovered{}, err
-		}
-		crc := crc32.ChecksumIEEE(fixed[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body)
-		if got := binary.LittleEndian.Uint32(crcBuf[:]); got != crc {
-			return recovered{}, ckptCorruptf("heavy-hitter checksum 0x%08x, want 0x%08x", got, crc)
-		}
-		items := make([]int, count)
-		counts := make([]int64, count)
-		for i := 0; i < count; i++ {
-			items[i] = int(binary.LittleEndian.Uint32(body[i*12 : i*12+4]))
-			counts[i] = int64(binary.LittleEndian.Uint64(body[i*12+4 : i*12+12]))
-		}
-		mg, err := stream.RestoreMisraGries(mgK, n, items, counts)
-		if err != nil {
-			return recovered{}, ckptCorruptf("heavy-hitter state rejected: %v", err)
-		}
-		out.mg = mg
+	kinds, err := readKinds(r, want)
+	if err != nil {
+		return nil, sketchSet{}, err
 	}
-
-	if version >= 2 {
-		var flag [1]byte
-		if err := readSection(r, flag[:], "count-sketch flag missing"); err != nil {
-			return recovered{}, err
-		}
-		switch flag[0] {
-		case 0:
-			// Checkpoint taken with the count sketch disabled. A config
-			// that enables it now starts the sketch empty (same contract
-			// as a version-1 file).
-		case 1:
-			sk, err := itemsketch.UnmarshalFrom(r)
-			if err != nil {
-				return recovered{}, err
-			}
-			cs, ok := sk.(*countsketch.Sketch)
-			if !ok {
-				return recovered{}, ckptCorruptf("count-sketch section holds a %s sketch", sk.Name())
-			}
-			if wantCS == nil {
-				return recovered{}, ckptCorruptf("carries a count sketch but the config has none")
-			}
-			if got := cs.Config(); got != *wantCS {
-				return recovered{}, ckptCorruptf("count sketch was built with a different geometry or seed")
-			}
-			out.cs = cs
-		default:
-			return recovered{}, ckptCorruptf("count-sketch flag = %d", flag[0])
-		}
-	}
-
-	if version >= 3 {
-		var flag [1]byte
-		if err := readSection(r, flag[:], "window flag missing"); err != nil {
-			return recovered{}, err
-		}
-		switch flag[0] {
-		case 0:
-			// Taken with the window disabled; a config enabling it now
-			// starts the window empty.
-		case 1:
-			sk, err := itemsketch.UnmarshalFrom(r)
-			if err != nil {
-				return recovered{}, err
-			}
-			win, ok := sk.(*stream.WindowedReservoir)
-			if !ok {
-				return recovered{}, ckptCorruptf("window section holds a %s sketch", sk.Name())
-			}
-			if wantWin == nil {
-				return recovered{}, ckptCorruptf("carries a window sketch but the config has none")
-			}
-			if win.NumAttrs() != wantWin.NumAttrs() || win.WindowRows() != wantWin.WindowRows() ||
-				win.Buckets() != wantWin.Buckets() || win.Capacity() != wantWin.Capacity() ||
-				win.Seed() != wantWin.Seed() || win.Params() != wantWin.Params() {
-				return recovered{}, ckptCorruptf("window sketch was built with a different geometry or seed")
-			}
-			out.win = win
-		default:
-			return recovered{}, ckptCorruptf("window flag = %d", flag[0])
-		}
-		if err := readSection(r, flag[:], "decayed-summary flag missing"); err != nil {
-			return recovered{}, err
-		}
-		switch flag[0] {
-		case 0:
-		case 1:
-			sk, err := itemsketch.UnmarshalFrom(r)
-			if err != nil {
-				return recovered{}, err
-			}
-			dmg, ok := sk.(*stream.DecayedMisraGries)
-			if !ok {
-				return recovered{}, ckptCorruptf("decayed-summary section holds a %s sketch", sk.Name())
-			}
-			if wantDmg == nil {
-				return recovered{}, ckptCorruptf("carries a decayed summary but the config has none")
-			}
-			if dmg.NumAttrs() != wantDmg.NumAttrs() || dmg.K() != wantDmg.K() ||
-				dmg.Lambda() != wantDmg.Lambda() || dmg.Params() != wantDmg.Params() {
-				return recovered{}, ckptCorruptf("decayed summary was built with different parameters")
-			}
-			out.dmg = dmg
-		default:
-			return recovered{}, ckptCorruptf("decayed-summary flag = %d", flag[0])
-		}
-	}
-	return out, nil
+	return res, kinds, nil
 }
 
 // recoverAll replays the newest valid checkpoint of every shard from
@@ -454,7 +208,9 @@ func (s *Service) recoverAll() error {
 	return nil
 }
 
-// recover replays this shard's checkpoint file if one exists.
+// recover replays this shard's checkpoint file if one exists. It runs
+// before the shard's worker starts; kinds the file lacks keep their
+// fresh, empty state.
 func (sh *Shard) recover() error {
 	f, err := os.Open(sh.svc.checkpointPath(sh.id))
 	if err != nil {
@@ -468,32 +224,13 @@ func (sh *Shard) recover() error {
 	if wrap := sh.svc.cfg.CheckpointReadWrap; wrap != nil {
 		r = wrap(r)
 	}
-	// The expected count-sketch config comes from the freshly built
-	// sketch, not s.csCfg: the sketch's Config() carries the resolved
-	// geometry defaults and derived params a raw config may leave zero.
-	var wantCS *countsketch.Config
-	if sh.cs != nil {
-		c := sh.cs.Config()
-		wantCS = &c
-	}
-	rec, err := readCheckpoint(r, sh.id, sh.svc.cfg.NumAttrs, sh.svc.cfg.HeavyK, wantCS, sh.win, sh.dmg)
+	res, found, err := readCheckpoint(r, sh.id, sh.svc.cfg.NumAttrs, sh.kinds)
 	if err != nil {
 		return err
 	}
 	sh.mu.Lock()
-	sh.res = rec.res
-	if sh.mg != nil && rec.mg != nil {
-		sh.mg = rec.mg
-	}
-	if sh.cs != nil && rec.cs != nil {
-		sh.cs = rec.cs
-	}
-	if sh.win != nil && rec.win != nil {
-		sh.win = rec.win
-	}
-	if sh.dmg != nil && rec.dmg != nil {
-		sh.dmg = rec.dmg
-	}
+	sh.res = res
+	sh.kinds.adopt(found)
 	sh.publishSnapshotLocked()
 	sh.mu.Unlock()
 	return nil

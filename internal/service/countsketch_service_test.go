@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -58,9 +59,9 @@ func TestCountSketchServiceMergeMatchesSingleStream(t *testing.T) {
 	}
 
 	// All shards must share the hash seed, or nothing below works.
-	refCfg := s.Shard(0).cs.Config()
+	refCfg := s.Shard(0).kinds.countSketch().Config()
 	for i := 1; i < s.NumShards(); i++ {
-		if got := s.Shard(i).cs.Config(); got != refCfg {
+		if got := s.Shard(i).kinds.countSketch().Config(); got != refCfg {
 			t.Fatalf("shard %d count-sketch config %+v differs from shard 0's %+v", i, got, refCfg)
 		}
 	}
@@ -173,7 +174,8 @@ func TestCountSketchCheckpointKillRecover(t *testing.T) {
 }
 
 // csCheckpointImage checkpoints a one-shard count-sketch service and
-// returns the raw version-2 image plus the expected sketch config.
+// returns the raw image (count-sketch section included) plus the
+// expected sketch config.
 func csCheckpointImage(t *testing.T, dir string) ([]byte, countsketch.Config) {
 	t.Helper()
 	cfg := csTestConfig(6)
@@ -187,7 +189,7 @@ func csCheckpointImage(t *testing.T, dir string) ([]byte, countsketch.Config) {
 	if err := s.Shard(0).Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := s.Shard(0).cs.Config()
+	want := s.Shard(0).kinds.countSketch().Config()
 	raw, err := os.ReadFile(filepath.Join(dir, "shard-0.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -196,28 +198,28 @@ func csCheckpointImage(t *testing.T, dir string) ([]byte, countsketch.Config) {
 }
 
 // TestCountSketchCheckpointTruncationAndMismatch extends the
-// kill-at-every-offset acceptance property to the version-2 image (the
-// count-sketch section included), and pins the config-mismatch
+// kill-at-every-offset acceptance property to an image carrying a
+// count-sketch section, and pins the config-mismatch
 // rejections: a checkpointed sketch never restarts onto different
 // hashes, and a sketch-bearing image is refused by a sketch-less
 // config.
 func TestCountSketchCheckpointTruncationAndMismatch(t *testing.T) {
 	raw, want := csCheckpointImage(t, t.TempDir())
 	for off := 0; off < len(raw); off++ {
-		_, err := readCheckpoint(bytes.NewReader(raw[:off]), 0, 6, 64, &want, nil, nil)
+		_, _, err := readCheckpoint(bytes.NewReader(raw[:off]), 0, 6, kindsFor(t, 6, 64, &want))
 		if err == nil {
-			t.Fatalf("offset %d/%d: truncated v2 checkpoint decoded without error", off, len(raw))
+			t.Fatalf("offset %d/%d: truncated count-sketch checkpoint decoded without error", off, len(raw))
 		}
 		if !errors.Is(err, itemsketch.ErrTruncatedStream) {
 			t.Fatalf("offset %d/%d: %v does not wrap ErrTruncatedStream", off, len(raw), err)
 		}
 	}
-	if _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, 64, &want, nil, nil); err != nil {
-		t.Fatalf("full v2 image failed to recover: %v", err)
+	if _, _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, kindsFor(t, 6, 64, &want)); err != nil {
+		t.Fatalf("full count-sketch image failed to recover: %v", err)
 	}
 
 	// Same bytes, config without a count sketch: corrupt, not silent.
-	if _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, 64, nil, nil, nil); !errors.Is(err, itemsketch.ErrCorruptSketch) {
+	if _, _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, kindsFor(t, 6, 64, nil)); !errors.Is(err, itemsketch.ErrCorruptSketch) {
 		t.Fatalf("sketch-bearing image with sketch-less config: %v, want ErrCorruptSketch", err)
 	}
 	// Same bytes, different expected geometry or seed: corrupt.
@@ -227,19 +229,19 @@ func TestCountSketchCheckpointTruncationAndMismatch(t *testing.T) {
 	} {
 		other := want
 		mutate(&other)
-		if _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, 64, &other, nil, nil); !errors.Is(err, itemsketch.ErrCorruptSketch) {
+		if _, _, err := readCheckpoint(bytes.NewReader(raw), 0, 6, kindsFor(t, 6, 64, &other)); !errors.Is(err, itemsketch.ErrCorruptSketch) {
 			t.Fatalf("mismatched config %+v: %v, want ErrCorruptSketch", other, err)
 		}
 	}
 
-	// A version-1 image (no count-sketch section) still reads under a
-	// count-sketch config, starting the sketch empty.
+	// An image without a count-sketch section still reads under a
+	// count-sketch expectation, starting the sketch empty.
 	v1, _ := checkpointImage(t, t.TempDir())
-	rec, err := readCheckpoint(bytes.NewReader(v1), 0, 6, 64, &want, nil, nil)
+	_, kinds, err := readCheckpoint(bytes.NewReader(v1), 0, 6, kindsFor(t, 6, 64, &want))
 	if err != nil {
-		t.Fatalf("v2 reader rejected its own sketch-less image: %v", err)
+		t.Fatalf("reader rejected a sketch-less image: %v", err)
 	}
-	if rec.cs != nil {
+	if kinds.countSketch() != nil {
 		t.Fatal("sketch-less image recovered a count sketch")
 	}
 }
@@ -465,4 +467,43 @@ func benchCSService(b *testing.B) *Service {
 		b.Fatal(err)
 	}
 	return s
+}
+
+// TestCountSketchServiceBuildsNoWholeStreamSummary: with the count
+// sketch answering heavy hitters no route reads a whole-stream
+// Misra–Gries summary, so no shard holds one — live or in its snapshot
+// — and no checkpoint carries one.
+func TestCountSketchServiceBuildsNoWholeStreamSummary(t *testing.T) {
+	const d = 6
+	cfg := csTestConfig(d)
+	cfg.CheckpointDir = t.TempDir()
+	s := mustNew(t, cfg)
+	if _, err := s.Ingest(context.Background(), skewedRows(800, d, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Shard(0).kinds.countSketch().Config()
+	for i := 0; i < s.NumShards(); i++ {
+		sh := s.Shard(i)
+		if sh.kinds.heavy() != nil || sh.snapshot().kinds.heavy() != nil {
+			t.Fatalf("shard %d holds a whole-stream summary beside its count sketch", i)
+		}
+		raw, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, fmt.Sprintf("shard-%d.ckpt", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Expect both kinds, so the reader reports what the file carries.
+		_, kinds, err := readCheckpoint(bytes.NewReader(raw), i, d, kindsFor(t, d, 64, &want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kinds.heavy() != nil {
+			t.Fatalf("shard %d checkpoint carries a whole-stream summary section", i)
+		}
+		if kinds.countSketch() == nil {
+			t.Fatalf("shard %d checkpoint lost its count sketch", i)
+		}
+	}
 }

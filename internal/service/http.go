@@ -230,6 +230,19 @@ func (s *Service) handleMine(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	// Apriori reads max_k ≤ 0 as "up to d" and a min_support ≤ 0 makes
+	// every candidate frequent: either lets one request mine the whole
+	// lattice, so the network surface accepts neither.
+	if !(req.MinSupport > 0 && req.MinSupport <= 1) {
+		writeError(w, s.currentPartial(),
+			fmt.Errorf("%w: min_support must be in (0,1], got %v", itemsketch.ErrInvalidParams, req.MinSupport))
+		return
+	}
+	if req.MaxK < 1 {
+		writeError(w, s.currentPartial(),
+			fmt.Errorf("%w: max_k must be at least 1, got %d", itemsketch.ErrInvalidParams, req.MaxK))
+		return
+	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	rs, p, err := s.Mine(ctx, req.MinSupport, req.MaxK)

@@ -92,6 +92,11 @@ func TestHTTPValidationFailures(t *testing.T) {
 		{"/v1/estimate", `{"itemsets":[[7]]}`, http.StatusBadRequest},   // beyond universe
 		{"/v1/heavyhitters", `{"phi":0}`, http.StatusBadRequest},
 		{"/v1/heavyhitters", `{"phi":1.5}`, http.StatusBadRequest},
+		{"/v1/mine", `{"min_support":-1,"max_k":2}`, http.StatusBadRequest},
+		{"/v1/mine", `{"min_support":0,"max_k":2}`, http.StatusBadRequest},
+		{"/v1/mine", `{"min_support":1.5,"max_k":2}`, http.StatusBadRequest},
+		{"/v1/mine", `{"min_support":0.2,"max_k":0}`, http.StatusBadRequest},
+		{"/v1/mine", `{"min_support":0.2,"max_k":-3}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, srv.URL, c.path, c.payload)
@@ -103,6 +108,10 @@ func TestHTTPValidationFailures(t *testing.T) {
 		}
 		if body["error"] == nil {
 			t.Errorf("%s %s: error body without error field", c.path, c.payload)
+		}
+		if msg, _ := body["error"].(string); c.path == "/v1/mine" &&
+			!strings.Contains(msg, "min_support") && !strings.Contains(msg, "max_k") {
+			t.Errorf("%s %s: error %q does not name the rejected field", c.path, c.payload, msg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync/atomic"
 )
 
@@ -82,15 +83,57 @@ func (s *Service) mergeCandidates(keep func(*snapshot) bool) (ids []int, snaps [
 }
 
 // MergeBuilds counts the read-side cross-shard merges actually built
-// since start, per estimator path. The hot-path invariant — what
-// cmd/loadgen asserts and the merge-cache tests count — is that
-// repeated queries against an unchanged service add zero to these.
+// since start, per estimator path. The hot-path invariant — what the
+// merge-cache tests count — is that repeated queries against an
+// unchanged service add zero to these.
 type MergeBuilds struct {
 	CountSketch int64
 	MisraGries  int64
 	Decayed     int64
 	Mine        int64
 }
+
+// mergeRead answers one read-side cross-shard merge through cache. The
+// candidates are the live shards whose snapshot holds the summary pick
+// selects. On a cache miss merge folds their summaries in shard order —
+// it receives the zero accumulator with the first shard's summary, and
+// must not modify a snapshot's own — skipping (and recording) any shard
+// whose merge fails; finish turns the fold into the cached value. Zero
+// answering shards is ErrNoShards, or ctx.Err() when the deadline
+// caused it.
+func mergeRead[S, T comparable](ctx context.Context, s *Service, cache *mergeCache[T],
+	pick func(*snapshot) S, merge func(acc, next S) (S, error), finish func(S) T) (T, Partial, error) {
+	var none S
+	var zero T
+	ids, snaps, shs := s.mergeCandidates(func(sn *snapshot) bool { return pick(sn) != none })
+	merged, answered, err := cache.get(ids, snaps, func() (T, []int, error) {
+		acc := none
+		var ans []int
+		for i, snap := range snaps {
+			if err := ctx.Err(); err != nil {
+				return zero, ans, err
+			}
+			m, err := merge(acc, pick(snap))
+			if err != nil {
+				shs[i].recordFailure(err)
+				continue
+			}
+			acc = m
+			ans = append(ans, ids[i])
+		}
+		if acc == none {
+			return zero, ans, nil
+		}
+		return finish(acc), ans, nil
+	})
+	if err == nil && merged == zero {
+		err = noAnswer(ctx)
+	}
+	return merged, s.partialFor(answered), err
+}
+
+// same is the finish step of a merge whose fold is the cached value.
+func same[T any](v T) T { return v }
 
 // MergeBuilds reports the per-path merge-build counters.
 func (s *Service) MergeBuilds() MergeBuilds {

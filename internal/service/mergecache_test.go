@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	itemsketch "repro"
@@ -342,5 +343,72 @@ func TestMergeCachesAcrossStrictRecovery(t *testing.T) {
 	mb := s2.MergeBuilds()
 	if mb.Mine != 1 || mb.MisraGries != 1 || mb.Decayed != 1 {
 		t.Errorf("post-recovery builds %+v, want exactly one per path", mb)
+	}
+}
+
+// TestHotReadPathsBuildNoMerges is the hot-path invariant under
+// concurrency: once ingest is quiesced and one warming round has built
+// each merge, concurrent repeats of every merged read path — heavy
+// hitters, mine and windowed heavy hitters — are all cache hits, on
+// both heavy-hitter sources. Run it under -race: the repeats share one
+// memoized generation per path.
+func TestHotReadPathsBuildNoMerges(t *testing.T) {
+	const d, workers, repeats = 10, 8, 8
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"misra-gries", windowedConfig(d)},
+		{"count-sketch", func() Config {
+			cfg := windowedConfig(d)
+			cfg.CountSketch = csTestConfig(d).CountSketch
+			return cfg
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustNew(t, tc.cfg)
+			// Concurrent ingest first, so every shard's snapshot moves.
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					if _, err := s.Ingest(ctx, skewedRows(600, d, uint64(20+w))); err != nil {
+						t.Error(err)
+					}
+				}(w)
+			}
+			wg.Wait()
+			paths := []func() error{
+				func() error { _, _, _, err := s.HeavyHitters(ctx, 0.2); return err },
+				func() error { _, _, err := s.Mine(ctx, 0.3, 2); return err },
+				func() error { _, _, _, err := s.HeavyHittersWindow(ctx, 0.2); return err },
+			}
+			for _, call := range paths { // the warming round builds each merge once
+				if err := call(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := s.MergeBuilds()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < repeats; i++ {
+						for _, call := range paths {
+							if err := call(); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if after := s.MergeBuilds(); after != before {
+				t.Fatalf("%d×%d hot repeats rebuilt merges: builds %+v → %+v", workers, repeats, before, after)
+			}
+		})
 	}
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -11,8 +13,31 @@ import (
 	"testing"
 
 	itemsketch "repro"
+	"repro/internal/countsketch"
 	"repro/internal/faultio"
+	"repro/internal/stream"
 )
+
+// kindsFor builds the sketch set readCheckpoint checks an image
+// against: whole-stream heavy hitters with k counters over d
+// attributes, plus a count sketch built from cs when it is non-nil.
+func kindsFor(t *testing.T, d, k int, cs *countsketch.Config) sketchSet {
+	t.Helper()
+	var set sketchSet
+	heavy, err := stream.NewDecayedMisraGries(d, k, 1, itemsketch.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set[kindHeavy] = heavy
+	if cs != nil {
+		sk, err := countsketch.New(*cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set[kindCountSketch] = sk
+	}
+	return set
+}
 
 // checkpointImage builds a service, ingests rows, checkpoints shard 0
 // and returns the raw checkpoint bytes plus the shard's seen counter.
@@ -97,13 +122,13 @@ func TestRecoveryRoundTrip(t *testing.T) {
 func TestRecoveryKillAtEveryByteOffset(t *testing.T) {
 	raw, seen := checkpointImage(t, t.TempDir())
 	for off := 0; off <= len(raw); off++ {
-		rec, err := readCheckpoint(bytes.NewReader(raw[:off]), 0, 6, 64, nil, nil, nil)
+		res, _, err := readCheckpoint(bytes.NewReader(raw[:off]), 0, 6, kindsFor(t, 6, 64, nil))
 		if off == len(raw) {
 			if err != nil {
 				t.Fatalf("full image failed to recover: %v", err)
 			}
-			if rec.res.Seen() != seen {
-				t.Fatalf("recovered seen %d, want %d", rec.res.Seen(), seen)
+			if res.Seen() != seen {
+				t.Fatalf("recovered seen %d, want %d", res.Seen(), seen)
 			}
 			break
 		}
@@ -121,16 +146,16 @@ func TestRecoveryKillAtEveryByteOffset(t *testing.T) {
 
 // TestRecoveryFaultCorruptEveryByte flips each byte of the image in
 // turn: every flip must be detected by one of the checksums (header
-// CRC, envelope chunk CRCs, heavy-hitter section CRC) or the state
-// validators — a corrupt checkpoint never silently recovers. Flips in
-// the envelope's flate-compressed payload may surface as truncation
-// (the decompressor hits a broken stream early); both classifications
-// wrap ErrCorruptSketch.
+// CRC, envelope chunk CRCs) or the state validators — a corrupt
+// checkpoint never silently recovers. Flips in the envelope's
+// flate-compressed payload may surface as truncation (the decompressor
+// hits a broken stream early); both classifications wrap
+// ErrCorruptSketch.
 func TestRecoveryFaultCorruptEveryByte(t *testing.T) {
 	raw, _ := checkpointImage(t, t.TempDir())
 	for off := 0; off < len(raw); off++ {
 		r := faultio.NewReader(bytes.NewReader(raw), faultio.WithCorruptByte(int64(off), 0xA5))
-		_, err := readCheckpoint(r, 0, 6, 64, nil, nil, nil)
+		_, _, err := readCheckpoint(r, 0, 6, kindsFor(t, 6, 64, nil))
 		if err == nil {
 			t.Fatalf("flip at %d/%d: corrupt checkpoint recovered silently", off, len(raw))
 		}
@@ -147,7 +172,7 @@ func TestRecoveryFaultTransportErrorsPassBare(t *testing.T) {
 	raw, _ := checkpointImage(t, t.TempDir())
 	for _, off := range []int64{0, 10, ckptHeaderSize, int64(len(raw) / 2), int64(len(raw) - 1)} {
 		r := faultio.NewReader(bytes.NewReader(raw), faultio.WithFailAt(off, nil))
-		_, err := readCheckpoint(r, 0, 6, 64, nil, nil, nil)
+		_, _, err := readCheckpoint(r, 0, 6, kindsFor(t, 6, 64, nil))
 		if !errors.Is(err, faultio.ErrInjected) {
 			t.Fatalf("fail at %d: %v, want the injected transport error", off, err)
 		}
@@ -258,8 +283,25 @@ func TestRecoveryRejectsForeignShardFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "shard-1.ckpt"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := readCheckpoint(bytes.NewReader(raw), 1, 6, 64, nil, nil, nil)
+	_, _, err := readCheckpoint(bytes.NewReader(raw), 1, 6, kindsFor(t, 6, 64, nil))
 	if !errors.Is(err, itemsketch.ErrCorruptSketch) {
 		t.Fatalf("cross-shard checkpoint: %v, want ErrCorruptSketch", err)
+	}
+}
+
+// TestRecoveryRejectsOtherVersions: only this build's checkpoint
+// version reads. Any other version byte — the retired 1–3 among them —
+// fails with ErrUnsupportedVersion even under an intact header
+// checksum, rather than being decoded under the wrong layout.
+func TestRecoveryRejectsOtherVersions(t *testing.T) {
+	raw, _ := checkpointImage(t, t.TempDir())
+	for _, v := range []byte{0, 1, 2, 3, ckptVersion + 1, 255} {
+		img := append([]byte(nil), raw...)
+		img[4] = v
+		binary.LittleEndian.PutUint32(img[ckptHeaderSize-4:ckptHeaderSize], crc32.ChecksumIEEE(img[:ckptHeaderSize-4]))
+		_, _, err := readCheckpoint(bytes.NewReader(img), 0, 6, kindsFor(t, 6, 64, nil))
+		if !errors.Is(err, itemsketch.ErrUnsupportedVersion) {
+			t.Fatalf("version %d: %v, want ErrUnsupportedVersion", v, err)
+		}
 	}
 }

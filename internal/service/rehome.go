@@ -7,6 +7,7 @@ import (
 
 	itemsketch "repro"
 	"repro/internal/core"
+	"repro/internal/dataset"
 )
 
 // This file is the shard re-homing state machine: when a shard goes
@@ -91,17 +92,9 @@ func (s *Service) BootstrapShard(id int, r io.Reader, seen int64) error {
 	if sh.State() != Dead {
 		return fmt.Errorf("%w: shard %d is %s; only a dead shard can be bootstrapped", itemsketch.ErrInvalidParams, id, sh.State())
 	}
-	sk, err := itemsketch.UnmarshalFrom(r)
+	sample, err := readSample(r, s.cfg.NumAttrs)
 	if err != nil {
 		return err
-	}
-	holder, ok := sk.(core.SampleHolder)
-	if !ok {
-		return fmt.Errorf("%w: bootstrap envelope carries a %T, not a sample-backed sketch", itemsketch.ErrCorruptSketch, sk)
-	}
-	sample := holder.Sample()
-	if sample.NumCols() != s.cfg.NumAttrs {
-		return fmt.Errorf("%w: bootstrap sample universe d=%d, service universe d=%d", itemsketch.ErrCorruptSketch, sample.NumCols(), s.cfg.NumAttrs)
 	}
 	if seen < int64(sample.NumRows()) {
 		// An absent or understated counter still admits the sample; the
@@ -109,6 +102,25 @@ func (s *Service) BootstrapShard(id int, r io.Reader, seen int64) error {
 		seen = int64(sample.NumRows())
 	}
 	return sh.revive(sample, seen)
+}
+
+// readSample decodes a sketch envelope that must carry a row sample
+// over d attributes — the reservoir state of a bootstrap stream and of
+// a checkpoint.
+func readSample(r io.Reader, d int) (*dataset.Database, error) {
+	sk, err := itemsketch.UnmarshalFrom(r)
+	if err != nil {
+		return nil, err
+	}
+	holder, ok := sk.(core.SampleHolder)
+	if !ok {
+		return nil, fmt.Errorf("%w: envelope holds a %s sketch, not a sample-backed one", itemsketch.ErrCorruptSketch, sk.Name())
+	}
+	sample := holder.Sample()
+	if sample.NumCols() != d {
+		return nil, fmt.Errorf("%w: sample universe d=%d, service universe d=%d", itemsketch.ErrCorruptSketch, sample.NumCols(), d)
+	}
+	return sample, nil
 }
 
 // RehomeFromPeer bootstraps dead shard dst from live shard src in

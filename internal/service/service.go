@@ -5,14 +5,17 @@
 //
 // Each shard owns an independent row stream: a worker goroutine
 // ingests rows into a streaming Reservoir (the paper's SUBSAMPLE
-// sketch built one pass at a time) and, optionally, a Misra–Gries
-// heavy-hitter summary. Queries never touch live ingest state; they
-// read immutable snapshots (cloned, column-indexed samples) published
-// after every ingest batch, fan out per shard through the ctx-aware
-// query.EstimateMany batch path, and combine cross-shard on read:
-// frequency estimates by seen-weighted averaging (the merged-reservoir
-// expectation), mining over a stream.Merge of the shard reservoirs,
-// heavy hitters over stream.MergeMG.
+// sketch built one pass at a time) and a sketch set (sketchset.go)
+// holding every other streaming kind the config enables: the
+// whole-stream heavy hitters (a Misra–Gries summary, or a count sketch
+// when Config.CountSketch is set) and the sliding-window kinds.
+// Queries never touch live ingest state; they read immutable snapshots
+// (cloned, column-indexed samples) published after every ingest batch,
+// fan out per shard through the ctx-aware query.EstimateMany batch
+// path, and combine cross-shard on read: frequency estimates by
+// seen-weighted averaging (the merged-reservoir expectation), mining
+// over a stream.Merge of the shard reservoirs, heavy hitters over the
+// summaries' merges.
 //
 // The robustness model:
 //
@@ -27,12 +30,12 @@
 //   - The read side exploits mergeability instead of repeating it:
 //     every cross-shard merge (count sketch, Misra–Gries, decayed
 //     Misra–Gries, the Mine union sample) is memoized per snapshot
-//     generation (mergecache.go), and concurrent Estimate calls can
-//     coalesce into one fan-out per linger window (coalesce.go).
+//     generation (mergecache.go).
 //   - Fallible operations — ingest application and checkpoint I/O —
 //     run under bounded retry with exponential backoff and seeded
 //     jitter.
-//   - Checkpoints are crash-safe: shard state streams through
+//   - Checkpoints are crash-safe: a header, the reservoir and every
+//     kind of the sketch set stream as registered envelopes through
 //     itemsketch.MarshalTo into a temp file that is fsynced and
 //     atomically renamed (internal/atomicfile), so a kill at any byte
 //     offset leaves the previous checkpoint intact; recovery replays
@@ -43,8 +46,8 @@
 //
 // Fault injection hooks (Config.IngestFault and the checkpoint
 // read/write wrappers) accept internal/faultio wrappers, which is how
-// the chaos tests and cmd/loadgen drive the service through injected
-// short reads, torn writes and transient transport errors.
+// the chaos tests drive the service through injected short reads, torn
+// writes and transient transport errors.
 package service
 
 import (
@@ -53,7 +56,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,13 +121,16 @@ type Config struct {
 	// SampleCapacity is each shard's reservoir capacity in rows
 	// (default 4096).
 	SampleCapacity int
-	// HeavyK is the Misra–Gries counter parameter for the heavy-hitter
-	// path; 0 keeps the default 64, negative disables the summary.
+	// HeavyK is the counter parameter of the whole-stream Misra–Gries
+	// heavy-hitter summary (held as a stream.DecayedMisraGries that
+	// never decays); 0 keeps the default 64, negative disables the
+	// summary. It has no effect when CountSketch is set: the count
+	// sketch then answers heavy hitters and no summary is built.
 	HeavyK int
 	// CountSketch, when non-nil, gives every shard a hierarchical count
-	// sketch (internal/countsketch) beside its Misra–Gries summary, and
-	// switches the heavy-hitter read path to merging those sketches —
-	// the O(1) cell-wise merge, rather than MG's counter merge. The
+	// sketch (internal/countsketch) instead of the Misra–Gries summary,
+	// and switches the heavy-hitter read path to merging those sketches
+	// — the O(1) cell-wise merge, rather than MG's counter merge. The
 	// service overrides Universe (to NumAttrs) and Seed (every shard
 	// must share one hash seed to be mergeable; it is derived from
 	// Config.Seed after the per-shard seeds, so enabling the sketch
@@ -170,11 +176,6 @@ type Config struct {
 	DeadAfter    int
 	// MinReady is the live-shard quorum /readyz requires (default 1).
 	MinReady int
-	// Coalesce, when non-nil, batches concurrent Estimate calls landing
-	// inside one linger window into a single cross-shard fan-out per
-	// snapshot generation (see CoalesceConfig). nil gives every request
-	// its own fan-out.
-	Coalesce *CoalesceConfig
 
 	// IngestFault, when set, is consulted before each ingest
 	// application attempt; a non-nil return is treated as a transient
@@ -245,10 +246,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MinReady <= 0 {
 		cfg.MinReady = 1
 	}
-	if cfg.Coalesce != nil {
-		c := cfg.Coalesce.withDefaults() // never mutate the caller's struct
-		cfg.Coalesce = &c
-	}
 	if cfg.Window != nil {
 		w := *cfg.Window // never mutate the caller's struct
 		if w.Buckets <= 0 {
@@ -283,13 +280,11 @@ type Service struct {
 	closeMu sync.RWMutex // write side held while Close closes worker channels
 	wg      sync.WaitGroup
 
-	coal *coalescer // estimate request coalescer (nil unless Config.Coalesce)
-
 	// Read-side merge caches, one generation per estimator path (see
 	// mergecache.go): queries against an unchanged service reuse the
 	// previous cross-shard merge instead of re-folding every shard.
 	csMerge   mergeCache[*countsketch.Sketch]
-	mgMerge   mergeCache[*stream.MisraGries]
+	mgMerge   mergeCache[*stream.DecayedMisraGries]
 	dmgMerge  mergeCache[*stream.DecayedMisraGries]
 	mineMerge mergeCache[*dataset.Database]
 
@@ -349,9 +344,6 @@ func New(cfg Config) (*Service, error) {
 	for i := range s.routing {
 		s.routing[i] = i
 	}
-	if cfg.Coalesce != nil {
-		s.coal = newCoalescer(s, *cfg.Coalesce)
-	}
 	if cfg.CheckpointDir != "" {
 		if err := s.recoverAll(); err != nil {
 			return nil, err
@@ -380,18 +372,7 @@ func (s *Service) Close() error {
 	}
 	s.closeMu.Unlock()
 	s.wg.Wait()
-	var first error
-	if s.cfg.CheckpointDir != "" {
-		for _, sh := range s.shards {
-			if sh.State() == Dead {
-				continue
-			}
-			if err := sh.Checkpoint(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return s.Checkpoint()
 }
 
 // NumShards returns the configured shard count.
@@ -402,7 +383,7 @@ func (s *Service) Shard(i int) *Shard { return s.shards[i] }
 
 // KillShard marks shard i Dead: it stops receiving ingest routing and
 // is excluded from query fan-out. This is the chaos lever — the
-// degraded-operation tests and cmd/loadgen kill shards through it.
+// degraded-operation tests kill shards through it.
 func (s *Service) KillShard(i int) {
 	if i >= 0 && i < len(s.shards) {
 		s.shards[i].setState(Dead)
@@ -436,27 +417,18 @@ func (p Partial) Degraded() bool { return p.Answered < p.Total }
 // String formats as the X-Shards-Answered header value ("7/8").
 func (p Partial) String() string { return fmt.Sprintf("%d/%d", p.Answered, p.Total) }
 
-// partialFor builds the Partial for the answered flag vector.
-func (s *Service) partialFor(answered map[int]bool) Partial {
+// partialFor builds the Partial for the shards that answered, listed
+// by id.
+func (s *Service) partialFor(answered []int) Partial {
 	p := Partial{Total: len(s.shards)}
 	for _, sh := range s.shards {
-		if answered[sh.id] {
+		if slices.Contains(answered, sh.id) {
 			p.Answered++
 		} else {
 			p.Missing = append(p.Missing, sh.id)
 		}
 	}
-	sort.Ints(p.Missing)
 	return p
-}
-
-// partialForIDs is partialFor over an answered id slice.
-func (s *Service) partialForIDs(ids []int) Partial {
-	answered := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		answered[id] = true
-	}
-	return s.partialFor(answered)
 }
 
 // Ingest validates and routes rows (attribute-index lists) across the
@@ -547,21 +519,10 @@ func (s *Service) reroute(failed *Shard) *Shard {
 // expectation of querying the merged reservoir. Shards that fail or
 // miss the deadline are reported in the Partial, not fatal; only zero
 // answering shards is an error (ErrNoShards, or ctx.Err() when the
-// deadline caused it). With Config.Coalesce set, concurrent calls
-// landing inside one linger window share a single fan-out; the
-// per-itemset answers are bit-identical either way.
+// deadline caused it).
 func (s *Service) Estimate(ctx context.Context, ts []itemsketch.Itemset) ([]float64, Partial, error) {
-	if s.coal != nil {
-		return s.coal.estimate(ctx, ts)
-	}
-	return s.estimateDirect(ctx, ts)
-}
-
-// estimateDirect is the uncoalesced fan-out behind Estimate; the
-// coalescer calls it once per flushed batch.
-func (s *Service) estimateDirect(ctx context.Context, ts []itemsketch.Itemset) ([]float64, Partial, error) {
 	live := s.live()
-	answered := make(map[int]bool, len(live))
+	answered := make([]int, 0, len(live))
 	if len(live) == 0 {
 		return nil, s.partialFor(answered), ErrNoShards
 	}
@@ -594,7 +555,7 @@ func (s *Service) estimateDirect(ctx context.Context, ts []itemsketch.Itemset) (
 		if r.err != nil {
 			continue
 		}
-		answered[r.id] = true
+		answered = append(answered, r.id)
 		if r.seen == 0 {
 			continue // an empty shard answers, with nothing to add
 		}
@@ -604,12 +565,15 @@ func (s *Service) estimateDirect(ctx context.Context, ts []itemsketch.Itemset) (
 			ests[j] += w * f
 		}
 	}
+	return s.weightedAnswer(ctx, answered, ests, weight)
+}
+
+// weightedAnswer finishes a seen-weighted combine: ests holds the
+// weighted sums over the answered shards, which weigh weight in total.
+func (s *Service) weightedAnswer(ctx context.Context, answered []int, ests []float64, weight float64) ([]float64, Partial, error) {
 	p := s.partialFor(answered)
 	if p.Answered == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, p, err
-		}
-		return nil, p, ErrNoShards
+		return nil, p, noAnswer(ctx)
 	}
 	if weight > 0 {
 		for j := range ests {
@@ -617,6 +581,15 @@ func (s *Service) estimateDirect(ctx context.Context, ts []itemsketch.Itemset) (
 		}
 	}
 	return ests, p, nil
+}
+
+// noAnswer is the error of a query no shard answered: the caller's
+// deadline when that caused it, ErrNoShards otherwise.
+func noAnswer(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ErrNoShards
 }
 
 // Mine runs a frequent-itemset mine over the union of the live shard
@@ -629,45 +602,23 @@ func (s *Service) estimateDirect(ctx context.Context, ts []itemsketch.Itemset) (
 // seed is drawn. Dead or snapshot-less shards degrade the result to a
 // partial over the answering shards.
 func (s *Service) Mine(ctx context.Context, minSupport float64, maxK int) ([]itemsketch.MiningResult, Partial, error) {
-	ids, snaps, shs := s.mergeCandidates(func(*snapshot) bool { return true })
-	db, answered, err := s.mineMerge.get(ids, snaps, func() (*dataset.Database, []int, error) {
-		var merged *stream.Reservoir
-		var ans []int
-		for i, snap := range snaps {
-			if err := ctx.Err(); err != nil {
-				return nil, ans, err
+	db, p, err := mergeRead(ctx, s, &s.mineMerge,
+		func(sn *snapshot) *stream.Reservoir { return sn.res },
+		func(acc, next *stream.Reservoir) (*stream.Reservoir, error) {
+			if acc == nil {
+				return next, nil
 			}
-			if merged == nil {
-				merged = snap.res
-				ans = append(ans, ids[i])
-				continue
-			}
-			m, err := stream.Merge(merged, snap.res, s.nextMergeSeed())
-			if err != nil {
-				shs[i].recordFailure(err)
-				continue
-			}
-			merged = m
-			ans = append(ans, ids[i])
-		}
-		if merged == nil {
-			return nil, ans, nil
-		}
-		// Database() clones the sample, so indexing never touches a
-		// snapshot other queries are reading.
-		db := merged.Database()
-		db.BuildColumnIndex()
-		return db, ans, nil
-	})
-	p := s.partialForIDs(answered)
+			return stream.Merge(acc, next, s.nextMergeSeed())
+		},
+		func(merged *stream.Reservoir) *dataset.Database {
+			// Database() clones the sample, so indexing never touches a
+			// snapshot other queries are reading.
+			db := merged.Database()
+			db.BuildColumnIndex()
+			return db
+		})
 	if err != nil {
 		return nil, p, err
-	}
-	if db == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, p, err
-		}
-		return nil, p, ErrNoShards
 	}
 	rs, err := itemsketch.AprioriContext(ctx, itemsketch.QueryDatabase(db), minSupport, maxK)
 	if err != nil {
@@ -676,9 +627,8 @@ func (s *Service) Mine(ctx context.Context, minSupport float64, maxK int) ([]ite
 	return rs, p, nil
 }
 
-// HeavyHitter is one heavy single item from the merged Misra–Gries
-// view: the item, its (under)estimated count and the merged stream's
-// occurrence total.
+// HeavyHitter is one heavy single item from the merged heavy-hitter
+// view: the item and its estimated count.
 type HeavyHitter struct {
 	Item  int   `json:"item"`
 	Count int64 `json:"count"`
@@ -694,99 +644,41 @@ func (s *Service) HeavyHitterSource() string {
 	return "misra-gries"
 }
 
+// checkPhi validates a heavy-hitter threshold. It returns an error
+// rather than panicking because phi arrives from the network surface.
+func checkPhi(phi float64) error {
+	if !(phi > 0 && phi <= 1) {
+		return fmt.Errorf("%w: phi = %g out of range (0, 1]", itemsketch.ErrInvalidParams, phi)
+	}
+	return nil
+}
+
 // HeavyHitters returns the items whose occurrence frequency may reach
 // phi across the union of the live shards' streams, with the merged
 // occurrence total. When Config.CountSketch is set the shards' count
 // sketches are merged on read (the O(1) cell-wise merge — bit-identical
 // to having sketched the union as one stream) and queried by recursive
-// dyadic descent; otherwise the Misra–Gries summaries merge through
-// stream.MergeMG. Fails with ErrNoShards when the heavy-hitter path is
-// disabled or fully degraded.
+// dyadic descent; otherwise the Misra–Gries summaries merge by the
+// counter-merge law. Fails with ErrNoShards when the heavy-hitter path
+// is disabled or fully degraded.
 func (s *Service) HeavyHitters(ctx context.Context, phi float64) ([]HeavyHitter, int64, Partial, error) {
-	if s.csCfg != nil {
-		return s.heavyHittersCS(ctx, phi)
+	if err := checkPhi(phi); err != nil {
+		return nil, 0, s.partialFor(nil), err
 	}
-	ids, snaps, shs := s.mergeCandidates(func(sn *snapshot) bool { return sn.mg != nil })
-	merged, answered, err := s.mgMerge.get(ids, snaps, func() (*stream.MisraGries, []int, error) {
-		var m *stream.MisraGries
-		var ans []int
-		for i, snap := range snaps {
-			if err := ctx.Err(); err != nil {
-				return nil, ans, err
+	if s.csCfg == nil {
+		return s.summaryHeavyHitters(ctx, phi, kindHeavy, &s.mgMerge)
+	}
+	merged, p, err := mergeRead(ctx, s, &s.csMerge,
+		func(sn *snapshot) *countsketch.Sketch { return sn.kinds.countSketch() },
+		func(acc, next *countsketch.Sketch) (*countsketch.Sketch, error) {
+			if acc == nil {
+				return next.Clone(), nil // merged in place below: never a snapshot's own
 			}
-			if m == nil {
-				m = snap.mg
-				ans = append(ans, ids[i])
-				continue
-			}
-			mm, err := stream.MergeMG(m, snap.mg)
-			if err != nil {
-				shs[i].recordFailure(err)
-				continue
-			}
-			m = mm
-			ans = append(ans, ids[i])
-		}
-		return m, ans, nil
-	})
-	p := s.partialForIDs(answered)
+			return acc, acc.Merge(next)
+		},
+		same[*countsketch.Sketch])
 	if err != nil {
 		return nil, 0, p, err
-	}
-	if merged == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, p, err
-		}
-		return nil, 0, p, ErrNoShards
-	}
-	var out []HeavyHitter
-	for _, it := range merged.HeavyHitters(phi) {
-		out = append(out, HeavyHitter{Item: it, Count: merged.Count(it)})
-	}
-	return out, merged.N(), p, nil
-}
-
-// heavyHittersCS is the count-sketch read path: clone the first live
-// snapshot's sketch, fold the rest in cell-wise, and run the recursive
-// heavy-hitter descent over the merged hierarchy. The fold is memoized
-// per snapshot generation — repeated queries against an unchanged
-// service reuse the previous merge instead of re-folding every shard.
-// The per-query phi validation lives here (rather than a panic)
-// because phi arrives from the network surface.
-func (s *Service) heavyHittersCS(ctx context.Context, phi float64) ([]HeavyHitter, int64, Partial, error) {
-	if !(phi > 0 && phi <= 1) {
-		return nil, 0, s.partialFor(nil), fmt.Errorf("%w: phi = %g out of range (0, 1]", itemsketch.ErrInvalidParams, phi)
-	}
-	ids, snaps, shs := s.mergeCandidates(func(sn *snapshot) bool { return sn.cs != nil })
-	merged, answered, err := s.csMerge.get(ids, snaps, func() (*countsketch.Sketch, []int, error) {
-		var m *countsketch.Sketch
-		var ans []int
-		for i, snap := range snaps {
-			if err := ctx.Err(); err != nil {
-				return nil, ans, err
-			}
-			if m == nil {
-				m = snap.cs.Clone()
-				ans = append(ans, ids[i])
-				continue
-			}
-			if err := m.Merge(snap.cs); err != nil {
-				shs[i].recordFailure(err)
-				continue
-			}
-			ans = append(ans, ids[i])
-		}
-		return m, ans, nil
-	})
-	p := s.partialForIDs(answered)
-	if err != nil {
-		return nil, 0, p, err
-	}
-	if merged == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, p, err
-		}
-		return nil, 0, p, ErrNoShards
 	}
 	var out []HeavyHitter
 	for _, hit := range merged.HeavyHitters(phi) {
@@ -810,40 +702,28 @@ func (s *Service) EstimateWindow(ctx context.Context, ts []itemsketch.Itemset) (
 		return nil, s.partialFor(nil), ErrNoWindow
 	}
 	live := s.live()
-	answered := make(map[int]bool, len(live))
+	answered := make([]int, 0, len(live))
 	ests := make([]float64, len(ts))
 	var weight float64
 	for _, sh := range live {
 		if err := ctx.Err(); err != nil {
 			return nil, s.partialFor(answered), err
 		}
-		snap := sh.snapshot()
-		if snap.win == nil {
+		win := sh.snapshot().kinds.window()
+		if win == nil {
 			continue
 		}
-		answered[sh.id] = true
-		w := float64(snap.win.WindowSeen())
+		answered = append(answered, sh.id)
+		w := float64(win.WindowSeen())
 		if w == 0 {
 			continue // answers, with nothing in its window yet
 		}
 		weight += w
 		for j, t := range ts {
-			ests[j] += w * snap.win.Estimate(t)
+			ests[j] += w * win.Estimate(t)
 		}
 	}
-	p := s.partialFor(answered)
-	if p.Answered == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, p, err
-		}
-		return nil, p, ErrNoShards
-	}
-	if weight > 0 {
-		for j := range ests {
-			ests[j] /= weight
-		}
-	}
-	return ests, p, nil
+	return s.weightedAnswer(ctx, answered, ests, weight)
 }
 
 // HeavyHittersWindow returns the items heavy within the decayed recent
@@ -855,41 +735,32 @@ func (s *Service) HeavyHittersWindow(ctx context.Context, phi float64) ([]HeavyH
 	if s.cfg.Window == nil || s.cfg.Window.DecayK < 2 {
 		return nil, 0, s.partialFor(nil), ErrNoWindow
 	}
-	if !(phi > 0 && phi <= 1) {
-		return nil, 0, s.partialFor(nil), fmt.Errorf("%w: phi = %g out of range (0, 1]", itemsketch.ErrInvalidParams, phi)
+	if err := checkPhi(phi); err != nil {
+		return nil, 0, s.partialFor(nil), err
 	}
-	ids, snaps, shs := s.mergeCandidates(func(sn *snapshot) bool { return sn.dmg != nil })
-	merged, answered, err := s.dmgMerge.get(ids, snaps, func() (*stream.DecayedMisraGries, []int, error) {
-		var m *stream.DecayedMisraGries
-		var ans []int
-		for i, snap := range snaps {
-			if err := ctx.Err(); err != nil {
-				return nil, ans, err
+	return s.summaryHeavyHitters(ctx, phi, kindDecayed, &s.dmgMerge)
+}
+
+// summaryHeavyHitters merges one decayed Misra–Gries kind of the sketch
+// set across the live shards through cache and thresholds it at phi.
+// Counts and the total are occurrence mass, rounded; the whole-stream
+// summary never decays, so for it they are exact.
+func (s *Service) summaryHeavyHitters(ctx context.Context, phi float64, kind int,
+	cache *mergeCache[*stream.DecayedMisraGries]) ([]HeavyHitter, int64, Partial, error) {
+	merged, p, err := mergeRead(ctx, s, cache,
+		func(sn *snapshot) *stream.DecayedMisraGries {
+			m, _ := sn.kinds[kind].(*stream.DecayedMisraGries)
+			return m
+		},
+		func(acc, next *stream.DecayedMisraGries) (*stream.DecayedMisraGries, error) {
+			if acc == nil {
+				return next, nil
 			}
-			if m == nil {
-				m = snap.dmg
-				ans = append(ans, ids[i])
-				continue
-			}
-			mm, err := stream.MergeDecayed(m, snap.dmg)
-			if err != nil {
-				shs[i].recordFailure(err)
-				continue
-			}
-			m = mm
-			ans = append(ans, ids[i])
-		}
-		return m, ans, nil
-	})
-	p := s.partialForIDs(answered)
+			return stream.MergeDecayed(acc, next)
+		},
+		same[*stream.DecayedMisraGries])
 	if err != nil {
 		return nil, 0, p, err
-	}
-	if merged == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, p, err
-		}
-		return nil, 0, p, ErrNoShards
 	}
 	var out []HeavyHitter
 	for _, it := range merged.HeavyHitters(phi) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	itemsketch "repro"
-	"repro/internal/countsketch"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/rng"
@@ -16,23 +15,19 @@ import (
 )
 
 // Shard is one independent ingest/serve unit: a worker goroutine
-// applies row batches to a streaming reservoir (and a Misra–Gries
-// summary for the heavy-hitter path), publishing an immutable snapshot
-// after every batch. Queries only ever read snapshots, so the ingest
-// hot path and the query fan-out never share mutable state — the
-// property that lets the chaos suite run estimate/mine load against
-// live ingest under -race.
+// applies row batches to a streaming reservoir and the shard's sketch
+// set, publishing an immutable snapshot after every batch. Queries only
+// ever read snapshots, so the ingest hot path and the query fan-out
+// never share mutable state — the property that lets the chaos suite
+// run estimate/mine load against live ingest under -race.
 type Shard struct {
 	id  int
 	svc *Service
 	ch  chan ingestReq
 
-	mu        sync.Mutex // guards res, mg, cs, win, dmg, sinceCkpt, jrng during ingest/checkpoint
+	mu        sync.Mutex // guards res, kinds, sinceCkpt, jrng during ingest/checkpoint
 	res       *stream.Reservoir
-	mg        *stream.MisraGries
-	cs        *countsketch.Sketch       // nil unless Config.CountSketch is set
-	win       *stream.WindowedReservoir // nil unless Config.Window is set
-	dmg       *stream.DecayedMisraGries // nil unless Config.Window enables DecayK
+	kinds     sketchSet
 	sinceCkpt int
 	jrng      *rng.RNG // backoff jitter + recovery seeds
 	winSeed   uint64   // window reservoir seed, kept for bootstrap rebuilds
@@ -54,20 +49,21 @@ type ingestReq struct {
 // snapshot is the immutable query view of a shard: a frozen reservoir
 // clone (for read-side merging), its column-indexed sample database
 // behind a concurrency-safe Querier, the rows-seen weight, and the
-// frozen heavy-hitter summary.
+// frozen sketch set.
 type snapshot struct {
-	res  *stream.Reservoir
-	db   *dataset.Database
-	q    query.Querier
-	seen int64
-	mg   *stream.MisraGries
-	cs   *countsketch.Sketch
-	win  *stream.WindowedReservoir
-	dmg  *stream.DecayedMisraGries
+	res   *stream.Reservoir
+	db    *dataset.Database
+	q     query.Querier
+	seen  int64
+	kinds sketchSet
 }
 
 func newShard(svc *Service, id int, reservoirSeed, jitterSeed, windowSeed uint64) (*Shard, error) {
 	res, err := stream.NewReservoir(svc.cfg.NumAttrs, svc.cfg.SampleCapacity, reservoirSeed)
+	if err != nil {
+		return nil, err
+	}
+	kinds, err := newSketchSet(svc.cfg, svc.csCfg, windowSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -76,31 +72,9 @@ func newShard(svc *Service, id int, reservoirSeed, jitterSeed, windowSeed uint64
 		svc:     svc,
 		ch:      make(chan ingestReq, 16),
 		res:     res,
+		kinds:   kinds,
 		jrng:    rng.New(jitterSeed),
 		winSeed: windowSeed,
-	}
-	if svc.cfg.HeavyK > 0 {
-		if sh.mg, err = stream.NewMisraGries(svc.cfg.HeavyK); err != nil {
-			return nil, err
-		}
-	}
-	if svc.csCfg != nil {
-		if sh.cs, err = countsketch.New(*svc.csCfg); err != nil {
-			return nil, err
-		}
-	}
-	if wc := svc.cfg.Window; wc != nil {
-		sh.win, err = stream.NewWindowedReservoir(svc.cfg.NumAttrs, wc.Rows, wc.Buckets,
-			wc.SampleCapacity, windowSeed, svc.cfg.Params)
-		if err != nil {
-			return nil, err
-		}
-		if wc.DecayK >= 2 {
-			sh.dmg, err = stream.NewDecayedMisraGries(svc.cfg.NumAttrs, wc.DecayK, wc.DecayLambda, itemsketch.Params{})
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 	sh.publishSnapshot()
 	return sh, nil
@@ -182,30 +156,8 @@ func (sh *Shard) ingest(ctx context.Context, rows [][]int) error {
 	sh.mu.Lock()
 	for _, row := range rows {
 		sh.res.AddAttrs(row...)
-		if sh.mg != nil {
-			for _, a := range row {
-				sh.mg.Add(a)
-			}
-		}
-		if sh.cs != nil {
-			for _, a := range row {
-				sh.cs.Add(a)
-			}
-		}
-		if sh.win != nil {
-			// A rotation means the window advanced one bucket: the decayed
-			// summary ticks on the same boundary, then sees the row that
-			// opened the new epoch.
-			if rotated := sh.win.AddAttrs(row...); rotated && sh.dmg != nil {
-				sh.dmg.Tick()
-			}
-			if sh.dmg != nil {
-				for _, a := range row {
-					sh.dmg.Add(a)
-				}
-			}
-		}
 	}
+	sh.kinds.add(rows)
 	sh.sinceCkpt += len(rows)
 	due := sh.svc.cfg.CheckpointEvery > 0 && sh.sinceCkpt >= sh.svc.cfg.CheckpointEvery &&
 		sh.svc.cfg.CheckpointDir != ""
@@ -223,7 +175,7 @@ func (sh *Shard) ingest(ctx context.Context, rows [][]int) error {
 }
 
 // publishSnapshot / publishSnapshotLocked freeze the current reservoir
-// and heavy-hitter state into a new immutable snapshot.
+// and sketch set into a new immutable snapshot.
 func (sh *Shard) publishSnapshot() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -234,31 +186,12 @@ func (sh *Shard) publishSnapshotLocked() {
 	frozen := sh.res.Clone()
 	db := frozen.Database()
 	db.BuildColumnIndex()
-	var mg *stream.MisraGries
-	if sh.mg != nil {
-		mg = sh.mg.Clone()
-	}
-	var cs *countsketch.Sketch
-	if sh.cs != nil {
-		cs = sh.cs.Clone()
-	}
-	var win *stream.WindowedReservoir
-	if sh.win != nil {
-		win = sh.win.Clone()
-	}
-	var dmg *stream.DecayedMisraGries
-	if sh.dmg != nil {
-		dmg = sh.dmg.Clone()
-	}
 	sh.snap.Store(&snapshot{
-		res:  frozen,
-		db:   db,
-		q:    query.FromDatabase(db),
-		seen: frozen.Seen(),
-		mg:   mg,
-		cs:   cs,
-		win:  win,
-		dmg:  dmg,
+		res:   frozen,
+		db:    db,
+		q:     query.FromDatabase(db),
+		seen:  frozen.Seen(),
+		kinds: sh.kinds.clone(),
 	})
 }
 
@@ -340,12 +273,11 @@ func (sh *Shard) withRetry(ctx context.Context, f func(attempt int) error) error
 
 // revive rebuilds a dead shard from a replication sample and returns
 // it to service — the shard half of Service.BootstrapShard. The
-// reservoir is restored exactly like checkpoint recovery; the side
-// summaries (MG, count sketch, window, decayed MG) restart empty with
-// their original configuration and seeds, since the envelope carries
-// only the row sample. The worker goroutine never stopped (a dead
-// shard merely refuses submissions), so flipping the state back to
-// Healthy is all the restart there is.
+// reservoir is restored exactly like checkpoint recovery; the sketch
+// set restarts empty with its original configuration and seeds, since
+// the envelope carries only the row sample. The worker goroutine never
+// stopped (a dead shard merely refuses submissions), so flipping the
+// state back to Healthy is all the restart there is.
 func (sh *Shard) revive(sample *dataset.Database, seen int64) error {
 	cfg := sh.svc.cfg
 	sh.mu.Lock()
@@ -360,34 +292,11 @@ func (sh *Shard) revive(sample *dataset.Database, seen int64) error {
 	if err != nil {
 		return err
 	}
-	var mg *stream.MisraGries
-	if cfg.HeavyK > 0 {
-		if mg, err = stream.NewMisraGries(cfg.HeavyK); err != nil {
-			return err
-		}
+	kinds, err := newSketchSet(cfg, sh.svc.csCfg, sh.winSeed)
+	if err != nil {
+		return err
 	}
-	var cs *countsketch.Sketch
-	if sh.svc.csCfg != nil {
-		if cs, err = countsketch.New(*sh.svc.csCfg); err != nil {
-			return err
-		}
-	}
-	var win *stream.WindowedReservoir
-	var dmg *stream.DecayedMisraGries
-	if wc := cfg.Window; wc != nil {
-		win, err = stream.NewWindowedReservoir(cfg.NumAttrs, wc.Rows, wc.Buckets,
-			wc.SampleCapacity, sh.winSeed, cfg.Params)
-		if err != nil {
-			return err
-		}
-		if wc.DecayK >= 2 {
-			dmg, err = stream.NewDecayedMisraGries(cfg.NumAttrs, wc.DecayK, wc.DecayLambda, itemsketch.Params{})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	sh.res, sh.mg, sh.cs, sh.win, sh.dmg = res, mg, cs, win, dmg
+	sh.res, sh.kinds = res, kinds
 	sh.sinceCkpt = 0
 	sh.publishSnapshotLocked()
 	sh.fails.Store(0)

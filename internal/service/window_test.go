@@ -2,15 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	itemsketch "repro"
@@ -218,9 +213,10 @@ func estimateBits(t *testing.T, f func(context.Context, []itemsketch.Itemset) ([
 	return bits
 }
 
-// TestWindowCheckpointRoundTrip pins the version-3 checkpoint format:
-// close a windowed service, reopen it onto the same directory, and the
-// whole-stream and window query surfaces answer bit-identically.
+// TestWindowCheckpointRoundTrip pins the window kinds' checkpoint
+// sections: close a windowed service, reopen it onto the same
+// directory, and the whole-stream and window query surfaces answer
+// bit-identically.
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	const d = 8
 	dir := t.TempDir()
@@ -278,30 +274,10 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// rewriteAsV2 truncates the two window sections off a version-3
-// checkpoint file and stamps it version 2, reproducing byte-for-byte
-// what the previous build wrote for a window-less shard.
-func rewriteAsV2(t *testing.T, path string) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A window-less v3 file ends with the two zero flag bytes.
-	if raw[len(raw)-1] != 0 || raw[len(raw)-2] != 0 {
-		t.Fatalf("%s does not end in empty window sections", path)
-	}
-	raw = raw[:len(raw)-2]
-	raw[4] = 2
-	binary.LittleEndian.PutUint32(raw[31:35], crc32.ChecksumIEEE(raw[:31]))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWindowCheckpointV2BackCompat: a version-2 file (written before
-// the window sections existed) still loads into a windowed service —
-// the whole-stream state recovers, the window starts empty.
+// TestWindowCheckpointV2BackCompat: a checkpoint written without the
+// window kinds (the state a service gains a window from) loads into a
+// windowed service — the whole-stream state recovers, the window starts
+// empty.
 func TestWindowCheckpointV2BackCompat(t *testing.T) {
 	const d = 6
 	dir := t.TempDir()
@@ -320,9 +296,6 @@ func TestWindowCheckpointV2BackCompat(t *testing.T) {
 	wantWhole := estimateBits(t, s.Estimate, ts)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		rewriteAsV2(t, filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", i)))
 	}
 
 	wcfg := windowConfig(d)
